@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import TooLargeError
+from .errors import TooLargeError, _LineReader
 from .graph import Graph, is_connected, is_uniquely_determined
 from .graph import is_uniquely_complemented, neighborhood_meet_closed
 from .realize import BOOLEAN, DEFAULT_MAX_N, realize_all
@@ -64,7 +64,7 @@ class BooleanGraphReport:
 
 def check_boolean_graph_conditions(g: Graph, max_n: int = DEFAULT_MAX_N) -> BooleanGraphReport:
     """Evaluate all four conditions; condition (4) delegates to the search
-    engine with a first-solution short circuit."""
+    engine capped at one table, kept as ``realization``."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
     witnesses = []
@@ -334,19 +334,28 @@ def ring_zero_divisor_graph(r: BooleanRing) -> Graph:
 def ring_from_graph(g: Graph, max_n: int = DEFAULT_MAX_N) -> BooleanRing:
     """Reconstruct the boolean ring whose zero-divisor graph is g.
 
-    Requires all four boolean-graph conditions; uses the canonically first
-    boolean realization, builds the neighborhood algebra, derives addition
-    from x+y = owner((N(x) v N(y')) ^ (N(x') v N(y))) where ' is lattice
-    complement, verifies every ring axiom exhaustively, and checks that the
-    ring's zero-divisor graph is g on the nose.
+    Requires all four boolean-graph conditions and builds the ring from the
+    boolean realization found while checking them.  build_algebra accepts a
+    realization only if N(xy) is the join of N(x) and N(y) in the lattice of
+    g's neighborhoods, which fixes every product from g alone, so the ring
+    does not depend on which realization the search found.
     """
     conditions = check_boolean_graph_conditions(g, max_n=max_n)
     if not conditions.all_hold:
         raise BooleanGraphError(
             "graph is not a boolean graph: " + "; ".join(conditions.witnesses)
         )
-    full = realize_all(g, mode=BOOLEAN, max_n=max_n)
-    s = full.tables[0]
+    return ring_from_realization(g, conditions.realization)
+
+
+def ring_from_realization(g: Graph, s: MulTable) -> BooleanRing:
+    """The boolean ring of g built on an idempotent table s realizing g.
+
+    Builds the neighborhood algebra, derives addition from
+    x+y = owner((N(x) v N(y')) ^ (N(x') v N(y))) where ' is lattice
+    complement, verifies every ring axiom exhaustively, and checks that the
+    ring's zero-divisor graph is g on the nose.
+    """
     alg = build_algebra(g, s)
     n = g.n
     one = n + 1
@@ -486,44 +495,29 @@ def format_ring(r: BooleanRing) -> str:
 
 
 def parse_ring(text: str) -> BooleanRing:
-    from .errors import FormatError
-
-    lines = [
-        (no, ln.split("#", 1)[0].strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-    ]
-    lines = [(no, ln) for no, ln in lines if ln]
-    if not lines or lines[0][1] != "zdg-ring 1":
-        raise FormatError("expected header 'zdg-ring 1'", lines[0][0] if lines else 1)
-    pos = 1
-    if pos >= len(lines) or not lines[pos][1].startswith("n "):
-        raise FormatError("missing element count")
-    size = int(lines[pos][1].split()[1])
-    pos += 1
+    reader = _LineReader(text, "zdg-ring 1")
+    parts = reader.next()
+    if parts is None or parts[0] != "n" or len(parts) != 2:
+        raise reader.error("missing element count")
+    size = reader.number(parts[1], "bad element count", lo=2)
     names = [f"e{i}" for i in range(size)]
-    while pos < len(lines) and lines[pos][1].startswith("name "):
-        _, eid, nm = lines[pos][1].split()
-        names[int(eid)] = nm
-        pos += 1
-
-    def block(keyword: str, pos: int):
-        if pos >= len(lines) or lines[pos][1] != keyword:
-            raise FormatError(f"expected '{keyword}' block", lines[pos][0] if pos < len(lines) else 0)
-        pos += 1
-        rows = [[0] * size for _ in range(size)]
-        for i in range(size):
-            no, ln = lines[pos]
-            parts = [int(p) for p in ln.split()]
-            if len(parts) != size - i:
-                raise FormatError(f"row {i}: expected {size - i} entries", no)
-            for j, v in zip(range(i, size), parts):
-                rows[i][j] = v
-                rows[j][i] = v
-            pos += 1
-        return rows, pos
-
-    add, pos = block("add", pos)
-    mul, pos = block("mul", pos)
+    parts = reader.next()
+    while parts is not None and parts[0] == "name":
+        if len(parts) != 3:
+            raise reader.error("bad name line")
+        eid = reader.number(parts[1], "bad element id",
+                            f"element id {parts[1]} out of range", hi=size - 1)
+        names[eid] = parts[2]
+        parts = reader.next()
+    blocks = []
+    for keyword in ("add", "mul"):
+        if parts != [keyword]:
+            raise reader.error(f"expected '{keyword}' block")
+        blocks.append(reader.triangle(0, size - 1))
+        parts = reader.next()
+    if parts is not None:
+        raise reader.error("extra lines after 'mul' block")
+    add, mul = blocks
     return BooleanRing(
         n=size - 2,
         add=tuple(tuple(r) for r in add),

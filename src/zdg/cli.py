@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import boolean_algebra as BA
 from . import families
@@ -21,14 +20,6 @@ from . import realize as RZ
 from . import semigroup as SG
 from . import theorems as TH
 from .errors import FormatError, TooLargeError
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    json_output: bool
-    threads: int
-    max_n: int
 
 
 def _read_text(path: str) -> str:
@@ -78,9 +69,7 @@ def _cmd_realize(args, oracle: bool = False) -> int:
     if oracle:
         report = RZ.brute_force_realize(g, mode)
     else:
-        report = RZ.realize_all(
-            g, mode, limit=args.limit, max_n=args.max_n, threads=args.threads
-        )
+        report = RZ.realize_all(g, mode, limit=args.limit, max_n=args.max_n)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -126,7 +115,7 @@ def _cmd_boolean_ring(args) -> int:
             for key, value in conditions.to_dict().items():
                 print(f"{key}: {value}")
         return 0 if conditions.all_hold else 1
-    ring = BA.ring_from_graph(g, max_n=args.max_n)
+    ring = BA.ring_from_realization(g, conditions.realization)
     if args.emit_tables:
         _write_text(args.emit_tables, BA.format_ring(ring))
     if args.json:
@@ -183,7 +172,7 @@ def _cmd_theorems(args) -> int:
     if args.sweep:
         g = _load_graph(args.sweep)
         mode = RZ.BOOLEAN if args.boolean else RZ.PLAIN
-        report = RZ.realize_all(g, mode, max_n=args.max_n, threads=args.threads)
+        report = RZ.realize_all(g, mode, max_n=args.max_n)
         for t in report.tables:
             verdicts.extend(TH.all_verdicts(t))
     else:
@@ -223,22 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=True):
+    def common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--max-n", type=int, default=RZ.DEFAULT_MAX_N,
                        help="size guard for searches")
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="top-level search branches in parallel")
 
     p = sub.add_parser("realize", help="enumerate semigroups realizing a graph")
     p.add_argument("graph")
     p.add_argument("--boolean", action="store_true", help="idempotent tables only")
     p.add_argument("--limit", type=int, default=None, help="cap on labeled tables")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force oracle (n <= 4)")
     common(p)
-    p.set_defaults(fn=lambda a: _cmd_realize(a, oracle=a.oracle))
+    p.set_defaults(fn=_cmd_realize)
 
     p = sub.add_parser("oracle", help="brute-force realization (n <= 4)")
     p.add_argument("graph")
@@ -248,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", help="structural properties of a graph")
     p.add_argument("graph")
-    common(p, threads=False)
+    common(p)
     p.set_defaults(fn=_cmd_props)
 
     p = sub.add_parser("boolean-ring", help="reconstruct the boolean ring of a graph")
@@ -257,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only evaluate the four conditions")
     p.add_argument("--emit-tables", metavar="FILE", default=None,
                    help="write the ring tables to FILE")
-    common(p, threads=False)
+    common(p)
     p.set_defaults(fn=_cmd_boolean_ring)
 
     p = sub.add_parser("family", help="generate a named graph family")

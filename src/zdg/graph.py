@@ -16,9 +16,8 @@ Text format (read/write, bit exact on writer output)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .errors import FormatError, TooLargeError
+from .errors import FormatError, TooLargeError, _LineReader
 
 ISO_MAX_N = 12
 
@@ -329,17 +328,6 @@ def is_isomorphic(g: Graph, h: Graph, max_n: int = ISO_MAX_N) -> tuple[int, ...]
     return found[0] if extend(0, 0) else None
 
 
-def brute_force_automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Oracle: filter all n! permutations. Intended for tests, n <= 7."""
-    if g.n > 7:
-        raise TooLargeError("brute force automorphisms capped at 7 vertices")
-    out = []
-    for p in permutations(range(g.n)):
-        if all(g.has_edge(p[u], p[v]) for u, v in g.edges()):
-            out.append(p)
-    return out
-
-
 @dataclass(frozen=True)
 class GraphProps:
     connected: bool
@@ -366,50 +354,32 @@ def graph_props(g: Graph) -> GraphProps:
 
 
 def parse_graph(text: str) -> Graph:
+    reader = _LineReader(text, "zdg-graph 1")
     n = None
     names: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not saw_header:
-            if line != "zdg-graph 1":
-                raise FormatError("expected header 'zdg-graph 1'", lineno)
-            saw_header = True
-            continue
-        parts = line.split()
+    for parts in reader:
         if parts[0] == "n":
-            if n is not None or len(parts) != 2 or not parts[1].isdigit():
-                raise FormatError("bad vertex count line", lineno)
-            n = int(parts[1])
+            if n is not None or len(parts) != 2:
+                raise reader.error("bad vertex count line")
+            n = reader.number(parts[1], "bad vertex count line")
         elif parts[0] == "v":
             if n is None or len(parts) != 3:
-                raise FormatError("bad name line", lineno)
-            try:
-                vid = int(parts[1])
-            except ValueError:
-                raise FormatError("bad vertex id", lineno) from None
-            if not 0 <= vid < n:
-                raise FormatError(f"vertex id {vid} out of range", lineno)
+                raise reader.error("bad name line")
+            vid = reader.number(parts[1], "bad vertex id",
+                                f"vertex id {parts[1]} out of range", hi=n - 1)
             names[vid] = parts[2]
         elif parts[0] == "e":
             if n is None or len(parts) != 3:
-                raise FormatError("bad edge line", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError("bad edge endpoints", lineno) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"edge {u}-{v} out of range", lineno)
+                raise reader.error("bad edge line")
+            far = f"edge {parts[1]}-{parts[2]} out of range"
+            u = reader.number(parts[1], "bad edge endpoints", far, hi=n - 1)
+            v = reader.number(parts[2], "bad edge endpoints", far, hi=n - 1)
             if u == v:
-                raise FormatError(f"self-loop at {u}", lineno)
+                raise reader.error(f"self-loop at {u}")
             edges.append((u, v))
         else:
-            raise FormatError(f"unknown directive {parts[0]!r}", lineno)
-    if not saw_header:
-        raise FormatError("missing header 'zdg-graph 1'")
+            raise reader.error(f"unknown directive {parts[0]!r}")
     if n is None:
         raise FormatError("missing vertex count line")
     name_tuple = None

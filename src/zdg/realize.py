@@ -16,7 +16,6 @@ independent oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import TooLargeError
@@ -312,7 +311,10 @@ def apply_automorphism(t: MulTable, perm: tuple[int, ...]) -> MulTable:
 
 
 def iso_class_count(tables, g: Graph, max_n: int = DEFAULT_MAX_N) -> int:
-    """Orbits of the table set under Aut(G)."""
+    """Orbits of the table set under Aut(G); Aut(G) is not computed for
+    fewer than two tables."""
+    if len(tables) < 2:
+        return len(tables)
     auts = automorphisms(g, max_n=max_n)
     seen = set()
     count = 0
@@ -374,14 +376,13 @@ def realize_all(
     mode: str = PLAIN,
     limit: int | None = None,
     max_n: int = DEFAULT_MAX_N,
-    threads: int = 1,
 ) -> RealizationReport:
     """Enumerate all multiplication tables realizing g, canonically ordered.
 
-    limit caps the number of labeled tables collected (enumeration order,
-    which is deterministic); the report is then flagged truncated.  threads
-    splits the top-level branches across a thread pool; results are merged
-    in branch order so output is independent of scheduling.
+    limit caps the number of labeled tables returned: the first limit found
+    in enumeration order, which is deterministic.  The report is flagged
+    truncated exactly when some realizing table is left out, so the search
+    looks for one table more than limit.
     """
     mode = _check_mode(mode)
     if g.n < 1:
@@ -396,40 +397,9 @@ def realize_all(
     root = init_state(g, mode)
     sols: list[MulTable] = []
     if propagate(root) is None:
-        cell = _pick_cell(root)
-        if cell is None:
-            sols.append(_verify_solution(root, g))
-        else:
-            values = list(bits(root.domains[cell]))
-            branches = []
-            for v in values:
-                child = root.copy()
-                if child.assign(cell[0], cell[1], v):
-                    continue
-                if propagate(child) is None:
-                    branches.append(child)
-
-            def run(branch: SearchState) -> list[MulTable]:
-                found: list[MulTable] = []
-                _dfs(branch, g, found, limit)
-                return found
-
-            if threads <= 1:
-                for branch in branches:
-                    remaining = None if limit is None else limit - len(sols)
-                    found: list[MulTable] = []
-                    _dfs(branch, g, found, remaining)
-                    sols.extend(found)
-                    if limit is not None and len(sols) >= limit:
-                        break
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    for found in pool.map(run, branches):
-                        sols.extend(found)
-                sols = sols[:limit] if limit is not None else sols
-
-    truncated = limit is not None and len(sols) >= limit
-    sols = sorted(sols, key=canonical_key)
+        _dfs(root, g, sols, None if limit is None else limit + 1)
+    truncated = limit is not None and len(sols) > limit
+    sols = sorted(sols[:limit], key=canonical_key)
     iso = iso_class_count(sols, g, max_n=max_n)
     return RealizationReport(
         mode=mode,
@@ -449,7 +419,7 @@ def classify_uniqueness(report: RealizationReport, g: Graph) -> str:
     """
     if report.truncated:
         raise ValueError("cannot classify a truncated report")
-    return _status(iso_class_count(report.tables, g))
+    return report.status
 
 
 def brute_force_realize(g: Graph, mode: str = PLAIN) -> RealizationReport:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FormatError
+from .errors import FormatError, _LineReader
 from .graph import Graph
 
 ElementSubset = frozenset[int]
@@ -137,10 +137,6 @@ def assoc_violation_symmetric(prod) -> tuple[int, int, int] | None:
                 if prod[bc][a] != v or prod[pa[c]][b] != v:
                     return (a, b, c)
     return None
-
-
-def is_valid(t: MulTable) -> bool:
-    return not check_axioms(t)
 
 
 def zero_divisor_graph(t: MulTable, names=None) -> Graph:
@@ -261,52 +257,16 @@ def annihilator(t: MulTable, xs: Iterable[int]) -> ElementSubset:
 
 
 def parse_table(text: str) -> MulTable:
-    n = None
-    rows: list[list[int]] = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not saw_header:
-            if line != "zdg-table 1":
-                raise FormatError("expected header 'zdg-table 1'", lineno)
-            saw_header = True
-            continue
-        parts = line.split()
-        if n is None:
-            if parts[0] != "n" or len(parts) != 2 or not parts[1].isdigit():
-                raise FormatError("bad element count line", lineno)
-            n = int(parts[1])
-            continue
-        if len(rows) == n:
-            raise FormatError("extra rows after table", lineno)
-        i = len(rows) + 1
-        expected = n - i + 1
-        if len(parts) != expected:
-            raise FormatError(
-                f"row {i}: expected {expected} entries, got {len(parts)}", lineno
-            )
-        try:
-            entries = [int(p) for p in parts]
-        except ValueError:
-            raise FormatError(f"row {i}: non-integer entry", lineno) from None
-        for e in entries:
-            if not 0 <= e <= n:
-                raise FormatError(f"row {i}: entry {e} out of range", lineno)
-        rows.append(entries)
-    if not saw_header:
-        raise FormatError("missing header 'zdg-table 1'")
-    if n is None:
+    reader = _LineReader(text, "zdg-table 1")
+    parts = reader.next()
+    if parts is None:
         raise FormatError("missing element count line")
-    if len(rows) != n:
-        raise FormatError(f"expected {n} rows, got {len(rows)}")
-    prod = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            v = rows[i - 1][j - i]
-            prod[i][j] = v
-            prod[j][i] = v
+    if parts[0] != "n" or len(parts) != 2:
+        raise reader.error("bad element count line")
+    n = reader.number(parts[1], "bad element count line")
+    prod = reader.triangle(1, n)
+    if reader.next() is not None:
+        raise reader.error("extra rows after table")
     return table_from_rows(prod)
 
 

@@ -117,6 +117,15 @@ def test_ring_round_trip_f2_3():
     assert ring_isomorphic(ring, families.f2k_ring(3)) is not None
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_ring_from_graph_rebuilds_bit_vector_ring(k):
+    # vertex v of gamma_f2(k) is the mask v+1, so the rebuilt ring is the
+    # bit-vector ring label for label
+    ring = ring_from_graph(gamma_f2(k), max_n=14)
+    target = families.f2k_ring(k)
+    assert ring.add == target.add and ring.mul == target.mul
+
+
 def test_ring_from_graph_refuses_non_boolean_graph():
     with pytest.raises(BooleanGraphError):
         ring_from_graph(families.complete(3))

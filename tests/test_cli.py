@@ -53,10 +53,11 @@ def test_realize_none_is_success(tmp_path, capsys):
     assert json.loads(out)["status"] == "none"
 
 
-def test_realize_threads_byte_identical(base_graph_file, capsys):
-    _, out1, _ = run(capsys, "realize", base_graph_file, "--json")
-    _, out4, _ = run(capsys, "realize", base_graph_file, "--json", "--threads", "4")
-    assert out1 == out4
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--oracle"]])
+def test_realize_removed_flags_exit_2(base_graph_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", base_graph_file, *flag])
+    assert exc.value.code == 2
 
 
 def test_oracle_agrees_with_realize(tmp_path, capsys):
@@ -94,6 +95,19 @@ def test_boolean_ring_emits_ring(tmp_path, capsys):
     assert code == 0
     jsonschema.validate(json.loads(out), _schema("boolean_ring"))
     assert ring_file.read_text().startswith("zdg-ring 1")
+
+
+def test_boolean_ring_searches_once(tmp_path, capsys, monkeypatch):
+    import zdg.boolean_algebra as BA
+
+    calls = []
+    search = BA.realize_all
+    monkeypatch.setattr(BA, "realize_all", lambda *a, **k: calls.append(a) or search(*a, **k))
+    path = tmp_path / "k2.zdg-graph"
+    path.write_text(format_graph(families.complete(2)))
+    code, out, _ = run(capsys, "boolean-ring", str(path), "--json")
+    assert code == 0 and json.loads(out)["elements"] == 4
+    assert len(calls) == 1
 
 
 def test_family_fixture_pipeline(tmp_path, capsys):

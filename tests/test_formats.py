@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from zdg import families
-from zdg.boolean_algebra import format_ring, parse_ring, ring_from_graph
+from zdg.boolean_algebra import BooleanRing, format_ring, parse_ring, ring_from_graph
 from zdg.errors import FormatError
 from zdg.graph import format_graph, from_edge_list, parse_graph
 from zdg.semigroup import format_table, parse_table, render_table, table_from_rows
@@ -141,3 +143,120 @@ def test_ring_round_trip():
     back = parse_ring(text)
     assert back.add == ring.add and back.mul == ring.mul
     assert format_ring(back) == text
+
+
+RING2 = """zdg-ring 1
+n 2
+name 0 0
+name 1 1
+add
+0 1
+0
+mul
+0 0
+1
+"""
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_graph, "zdg-graph 1\nn \u00b2\n"),
+        (parse_table, "zdg-table 1\nn \u00b2\n"),
+        (parse_ring, "zdg-ring 1\nn \u00b2\n"),
+        (parse_graph, "zdg-graph 1\nn 99999999999999\n"),
+        (parse_graph, "zdg-graph 1\nn 2\ne 0 " + "1" * 5000 + "\n"),
+        (parse_ring, "zdg-ring 1\nn x\n"),
+        (parse_ring, "zdg-ring 1\nn 1\nadd\n0\nmul\n0\n"),
+        (parse_ring, RING2.replace("add\n0 1", "add\n0 x")),
+        (parse_ring, RING2.replace("name 1 1", "name 5 q")),
+        (parse_ring, RING2.replace("name 1 1", "name 1")),
+        (parse_ring, RING2.replace("mul\n0 0", "mul\n0 9")),
+        (parse_ring, RING2 + "0\n"),
+    ],
+)
+def test_malformed_input_raises_format_error(parse, text):
+    with pytest.raises(FormatError):
+        parse(text)
+
+
+def test_ring_truncated_file_reports_a_real_line():
+    assert format_ring(parse_ring(RING2)) == RING2
+    lines = RING2.splitlines(keepends=True)
+    for cut in range(len(lines)):
+        with pytest.raises(FormatError) as err:
+            parse_ring("".join(lines[:cut]))
+        assert err.value.line is None or err.value.line >= 1
+
+
+# --- every parser is total: a valid object or FormatError, whatever the text
+
+TOKENS = st.one_of(
+    st.text(max_size=4),
+    st.integers(min_value=-2, max_value=1 << 70).map(str),
+    st.sampled_from(["\u00b2", "\u0663", "+1", "1_0", "9" * 5000, "#", "n", "e", "v",
+                     "name", "add", "mul"]),
+)
+
+
+@st.composite
+def mutated(draw, texts):
+    """Writer output cut short, or with one token replaced."""
+    text = draw(texts)
+    if draw(st.booleans()):
+        return text[: draw(st.integers(min_value=0, max_value=len(text)))]
+    parts = re.split(r"(\s+)", text)
+    i = draw(st.sampled_from([i for i, p in enumerate(parts) if p and not p.isspace()]))
+    parts[i] = draw(TOKENS)
+    return "".join(parts)
+
+
+def inputs(header, written):
+    return st.one_of(st.text(), st.text().map(lambda s: header + "\n" + s), mutated(written))
+
+
+@st.composite
+def random_rings(draw, max_size=5):
+    size = draw(st.integers(min_value=2, max_value=max_size))
+
+    def symmetric():
+        rows = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                rows[i][j] = rows[j][i] = draw(st.integers(min_value=0, max_value=size - 1))
+        return tuple(map(tuple, rows))
+
+    return BooleanRing(n=size - 2, add=symmetric(), mul=symmetric())
+
+
+@given(inputs("zdg-graph 1", random_graphs().map(format_graph)))
+def test_parse_graph_is_total(text):
+    try:
+        g = parse_graph(text)
+    except FormatError:
+        return
+    assert parse_graph(format_graph(g)) == g
+
+
+@given(inputs("zdg-table 1", random_tables().map(format_table)))
+def test_parse_table_is_total(text):
+    try:
+        t = parse_table(text)
+    except FormatError:
+        return
+    assert parse_table(format_table(t)) == t
+
+
+@given(inputs("zdg-ring 1", random_rings().map(format_ring)))
+def test_parse_ring_is_total(text):
+    try:
+        r = parse_ring(text)
+    except FormatError:
+        return
+    size = r.size
+    assert size >= 2 and len(r.names) == size
+    for tab in (r.add, r.mul):
+        assert len(tab) == size and all(len(row) == size for row in tab)
+        assert all(tab[i][j] == tab[j][i] and 0 <= tab[i][j] < size
+                   for i in range(size) for j in range(size))
+    assert parse_ring(format_ring(r)) == r

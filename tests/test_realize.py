@@ -134,14 +134,31 @@ def test_limit_and_truncation():
     assert classify_uniqueness(full, g) == full.status
 
 
-def test_thread_determinism():
+def test_truncated_is_exact():
+    # truncated only when a labeled table exists beyond those returned
+    base = families.fig1(0, 0)
+    one = realize_all(base, limit=1)
+    assert one.labeled_count == 1 and not one.truncated
+    assert classify_uniqueness(one, base) == "unique"
     g = families.fig4(2, 2, 2)
-    a = realize_all(g)
-    b = realize_all(g, threads=4)
-    assert a.to_dict() == b.to_dict()
-    c = realize_all(g, limit=7, threads=3)
-    d = realize_all(g, limit=7)
-    assert c.to_dict() == d.to_dict()
+    full = realize_all(g)
+    assert full.labeled_count == 216
+    every = realize_all(g, limit=216)
+    assert not every.truncated and every.to_dict() == full.to_dict()
+    short = realize_all(g, limit=215)
+    assert short.truncated and short.labeled_count == 215
+    assert set(short.tables) < set(full.tables)
+
+
+def test_iso_class_count_skips_automorphisms_below_two_tables(monkeypatch):
+    import zdg.realize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Aut(G) computed")
+
+    monkeypatch.setattr(zdg.realize, "automorphisms", refuse)
+    assert realize_all(families.fig1(0, 0)).iso_class_count == 1
+    assert realize_all(families.m_nk(4, 3)).iso_class_count == 0
 
 
 def test_size_guard_and_preconditions():
