@@ -412,7 +412,7 @@ def realize_all(
     )
 
 
-def classify_uniqueness(report: RealizationReport, g: Graph) -> str:
+def classify_uniqueness(report: RealizationReport) -> str:
     """none / unique / multiple, counting tables up to Aut(G) relabeling.
 
     Refuses truncated reports: uniqueness needs the full enumeration.

@@ -10,8 +10,7 @@ rather than true or false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import graph as G
@@ -41,18 +40,30 @@ class TheoremVerdict:
         }
 
 
-def _graph_of(t: MulTable) -> G.Graph:
-    return SG.zero_divisor_graph(t)
+@dataclass(frozen=True)
+class TableFacts:
+    """The graph facts the verifiers read, computed once per table; every
+    element set holds element ids and is keyed by element id."""
+
+    table: MulTable
+    graph: G.Graph
+    has_cycle: bool
+    pendants: dict[int, frozenset[int]]  # x -> T_x
+    hoods: dict[int, frozenset[int]]  # x -> N(x)
+    core: frozenset[int]  # the core's vertices
 
 
-def _pendants(g: G.Graph, x: int) -> frozenset[int]:
-    """T_x as element ids (x is an element id)."""
-    return frozenset(v + 1 for v in G.pendant_set(g, x - 1))
-
-
-def _core_elements(g: G.Graph) -> frozenset[int]:
-    verts, _ = G.core(g)
-    return frozenset(v + 1 for v in verts)
+def table_facts(t: MulTable) -> TableFacts:
+    """Raises ValueError when some nonzero element is not a zero divisor."""
+    g = SG.zero_divisor_graph(t)
+    return TableFacts(
+        table=t,
+        graph=g,
+        has_cycle=G.has_cycle(g),
+        pendants={x: frozenset(v + 1 for v in G.pendant_set(g, x - 1)) for x in t.nonzero()},
+        hoods={x: frozenset(v + 1 for v in G.bits(g.adj[x - 1])) for x in t.nonzero()},
+        core=frozenset(v + 1 for v in G.core(g)[0]),
+    )
 
 
 def _check_element(t: MulTable, x: int):
@@ -60,25 +71,24 @@ def _check_element(t: MulTable, x: int):
         raise ValueError(f"element {x} out of range 1..{t.n}")
 
 
-def verify_thm_2_1(t: MulTable, x: int, tx: Iterable[int]) -> TheoremVerdict:
+def verify_thm_2_1(f: TableFacts, x: int, tx: Iterable[int]) -> TheoremVerdict:
     """For a subset tx of S - {0, x} that contains all pendant neighbors of
     x, touches no vertex outside tx | {0, x}, and satisfies the nonemptiness
     or cycle side condition, S - tx is closed under products; when x has a
     pendant neighbor and the graph has a cycle, x*x is 0 or x."""
+    t = f.table
     _check_element(t, x)
     tx = frozenset(tx)
-    g = _graph_of(t)
     name = f"thm_2_1(x={x}, tx={sorted(tx)})"
     all_elems = frozenset(t.nonzero())
     if not tx <= all_elems - {x}:
         return TheoremVerdict("thm_2_1", name, False, None, "tx not inside S - {0, x}")
 
-    pend = _pendants(g, x)
+    pend = f.pendants[x]
     h1 = pend <= tx
     cx = all_elems - tx - {x}
-    # no edge between tx and cx: no zero product of distinct vertices
-    h2 = (not cx) or all(not (a != b and t.prod[a][b] == 0) for a in tx for b in cx)
-    cyc = G.has_cycle(g)
+    h2 = not any(f.hoods[a] & cx for a in tx)  # no edge between tx and cx
+    cyc = f.has_cycle
     h3 = bool(cx) or (cyc and bool(pend))
     if not (h1 and h2 and h3):
         return TheoremVerdict("thm_2_1", name, False, None)
@@ -96,7 +106,7 @@ def verify_thm_2_1(t: MulTable, x: int, tx: Iterable[int]) -> TheoremVerdict:
     return TheoremVerdict("thm_2_1", name, True, True)
 
 
-def verify_cor_2_2(t: MulTable, x: int) -> TheoremVerdict:
+def verify_cor_2_2(f: TableFacts, x: int) -> TheoremVerdict:
     """With tx = all pendant neighbors of x, nonempty: S - tx is a proper
     sub-semigroup; if the graph also has a cycle, {x, 0} is closed.
 
@@ -106,42 +116,22 @@ def verify_cor_2_2(t: MulTable, x: int) -> TheoremVerdict:
     for the table with x*x = the other vertex), so it is part of the
     hypotheses here.
     """
-    _check_element(t, x)
-    g = _graph_of(t)
-    pend = _pendants(g, x)
+    _check_element(f.table, x)
     name = f"cor_2_2(x={x})"
-    if not pend:
+    if not f.pendants[x]:
         return TheoremVerdict("cor_2_2", name, False, None)
-    cx = frozenset(t.nonzero()) - pend - {x}
-    if not cx and not G.has_cycle(g):
-        return TheoremVerdict("cor_2_2", name, False, None)
-    rest = frozenset({0}) | (frozenset(t.nonzero()) - pend)
-    bad = SG.closure_witness(t, rest)
-    if bad is not None:
-        return TheoremVerdict(
-            "cor_2_2", name, True, False, f"{bad[0]}*{bad[1]}={bad[2]} leaves S - tx"
-        )
-    if G.has_cycle(g) and t.prod[x][x] not in (0, x):
-        return TheoremVerdict(
-            "cor_2_2", name, True, False, f"x*x = {t.prod[x][x]}, so {{x,0}} not closed"
-        )
-    return TheoremVerdict("cor_2_2", name, True, True)
+    return replace(verify_thm_2_1(f, x, f.pendants[x]), theorem="cor_2_2", instance=name)
 
 
-def verify_prop_2_7(t: MulTable, x: int) -> TheoremVerdict:
+def verify_prop_2_7(f: TableFacts, x: int) -> TheoremVerdict:
     """If the graph has a cycle, x is not an end vertex, and x*x != 0, then
     the pendant neighbors of x together with 0 are closed under products."""
+    t = f.table
     _check_element(t, x)
-    g = _graph_of(t)
     name = f"prop_2_7(x={x})"
-    if not G.has_cycle(g):
+    if not f.has_cycle or len(f.hoods[x]) == 1 or t.prod[x][x] == 0:
         return TheoremVerdict("prop_2_7", name, False, None)
-    if g.degree(x - 1) == 1:
-        return TheoremVerdict("prop_2_7", name, False, None)
-    if t.prod[x][x] == 0:
-        return TheoremVerdict("prop_2_7", name, False, None)
-    pend = _pendants(g, x)
-    bad = SG.closure_witness(t, pend | {0})
+    bad = SG.closure_witness(t, f.pendants[x] | {0})
     if bad is not None:
         return TheoremVerdict(
             "prop_2_7", name, True, False, f"{bad[0]}*{bad[1]}={bad[2]} leaves tx | {{0}}"
@@ -159,7 +149,7 @@ def _edge_in_quadrilateral(g: G.Graph, s: int, t2: int) -> bool:
     return False
 
 
-def verify_thm_2_9(t: MulTable, s: int, u: int) -> TheoremVerdict:
+def verify_thm_2_9(f: TableFacts, s: int, u: int) -> TheoremVerdict:
     """For distinct non-pendant vertices s, u that both have pendant
     neighbors and square to zero: pendant products land in N(s) & N(u) and
     sS = {0, s}, uS = {0, u}; if additionally every core vertex adjacent to
@@ -170,21 +160,19 @@ def verify_thm_2_9(t: MulTable, s: int, u: int) -> TheoremVerdict:
     implicit in the claim (it fails only for the 2-vertex graph, where the
     all-zero table is a counterexample to the literal statement).
     """
+    t, g = f.table, f.graph
     _check_element(t, s)
     _check_element(t, u)
-    g = _graph_of(t)
     name = f"thm_2_9(s={s}, t={u})"
     if s == u:
         return TheoremVerdict("thm_2_9", name, False, None)
-    ts = _pendants(g, s)
-    tu = _pendants(g, u)
+    ts, tu = f.pendants[s], f.pendants[u]
     hyp = bool(ts) and bool(tu) and t.prod[s][s] == 0 and t.prod[u][u] == 0
     hyp = hyp and s not in tu and u not in ts
     if not hyp:
         return TheoremVerdict("thm_2_9", name, False, None)
 
-    ns = SG.neighborhood(t, s)
-    nu = SG.neighborhood(t, u)
+    ns, nu = f.hoods[s], f.hoods[u]
     for y in sorted(ts):
         for x in sorted(tu):
             p = t.prod[y][x]
@@ -200,9 +188,7 @@ def verify_thm_2_9(t: MulTable, s: int, u: int) -> TheoremVerdict:
                 "thm_2_9", name, True, False, f"{v}S = {sorted(products)} != {{0, {v}}}"
             )
 
-    cond1 = all(
-        t.prod[w][w] == 0 for w in (ns & _core_elements(g))
-    )
+    cond1 = all(t.prod[w][w] == 0 for w in (ns & f.core))
     cond2 = g.has_edge(s - 1, u - 1) and not _edge_in_quadrilateral(g, s - 1, u - 1)
     if cond1 or cond2:
         bad = SG.closure_witness(t, ts | {0})
@@ -224,10 +210,10 @@ def verify_thm_2_9(t: MulTable, s: int, u: int) -> TheoremVerdict:
     return TheoremVerdict("thm_2_9", name, True, True)
 
 
-def verify_prop_2_10(t: MulTable) -> TheoremVerdict:
+def verify_prop_2_10(f: TableFacts) -> TheoremVerdict:
     """If the graph is m-uniquely determined for the maximal degree m, then
     each maximal-degree idempotent s has Ss = {0, s}."""
-    g = _graph_of(t)
+    t, g = f.table, f.graph
     m = max(g.degree(v) for v in range(g.n))
     cand = [
         v + 1 for v in range(g.n) if g.degree(v) == m and t.prod[v + 1][v + 1] == v + 1
@@ -245,10 +231,11 @@ def verify_prop_2_10(t: MulTable) -> TheoremVerdict:
     return TheoremVerdict("prop_2_10", name, True, True)
 
 
-def verify_thm_3_2(t: MulTable) -> TheoremVerdict:
+def verify_thm_3_2(f: TableFacts) -> TheoremVerdict:
     """In an idempotent table, for every nonzero x the class S_x (equal
     neighborhoods) and the lower set S_<=x (contained neighborhoods) are
     closed and zero-free, and S_x is an ideal of S_<=x."""
+    t = f.table
     name = "thm_3_2"
     if not SG.is_boolean(t):
         return TheoremVerdict("thm_3_2", name, False, None)
@@ -273,20 +260,19 @@ def verify_thm_3_2(t: MulTable) -> TheoremVerdict:
     return TheoremVerdict("thm_3_2", name, True, True)
 
 
-def verify_cor_3_3(t: MulTable) -> TheoremVerdict:
+def verify_cor_3_3(f: TableFacts) -> TheoremVerdict:
     """In an idempotent table, the graph is uniquely determined iff
     N(y) <= N(x) always forces yx = x."""
+    t = f.table
     name = "cor_3_3"
     if not SG.is_boolean(t):
         return TheoremVerdict("cor_3_3", name, False, None)
-    g = _graph_of(t)
-    ud = G.is_uniquely_determined(g)
+    ud = G.is_uniquely_determined(f.graph)
     absorbing = True
     witness = None
     for x in t.nonzero():
-        nx = SG.neighborhood(t, x)
         for y in t.nonzero():
-            if SG.neighborhood(t, y) <= nx and t.prod[y][x] != x:
+            if f.hoods[y] <= f.hoods[x] and t.prod[y][x] != x:
                 absorbing = False
                 witness = f"N({y}) <= N({x}) but {y}*{x} = {t.prod[y][x]}"
                 break
@@ -301,10 +287,11 @@ def verify_cor_3_3(t: MulTable) -> TheoremVerdict:
     )
 
 
-def verify_prop_3_6(t: MulTable) -> TheoremVerdict:
+def verify_prop_3_6(f: TableFacts) -> TheoremVerdict:
     """A reduced table whose graph is uniquely determined is idempotent."""
+    t = f.table
     name = "prop_3_6"
-    if not SG.is_reduced(t) or not G.is_uniquely_determined(_graph_of(t)):
+    if not SG.is_reduced(t) or not G.is_uniquely_determined(f.graph):
         return TheoremVerdict("prop_3_6", name, False, None)
     for x in t.nonzero():
         if t.prod[x][x] != x:
@@ -314,36 +301,50 @@ def verify_prop_3_6(t: MulTable) -> TheoremVerdict:
     return TheoremVerdict("prop_3_6", name, True, True)
 
 
-def all_verdicts(t: MulTable, subset_cap: int = 8) -> list[TheoremVerdict]:
+# Above this many elements the first claim is checked only at tx = T_x;
+# perfbench/expected.json pins the counts this gives on fixtures 3 and 4.
+_MAX_FREE_TX_N = 8
+
+
+def _thm_2_1_subsets(f: TableFacts, x: int) -> list[frozenset[int]]:
+    """T_x plus every union of the other connected components of G - x:
+    exactly the tx that contain T_x and have no edge to the rest (each end
+    vertex at x is a component of its own), by size, then elementwise."""
+    subsets = [f.pendants[x]]
+    left = set(f.table.nonzero()) - f.pendants[x] - {x}
+    while left and f.table.n <= _MAX_FREE_TX_N:
+        part, grow = frozenset(), {min(left)}
+        while grow:
+            part |= grow
+            grow = {v for y in grow for v in f.hoods[y]} - part - {x}
+        subsets += [tx | part for tx in subsets]
+        left -= part
+    return sorted(subsets, key=lambda tx: (len(tx), sorted(tx)))
+
+
+def all_verdicts(t: MulTable) -> list[TheoremVerdict]:
     """Sweep every verifier over every eligible instance of one table.
 
-    The free subset tx of the first claim ranges over all subsets of
-    S - {0, x} when n <= subset_cap, otherwise only over the canonical
-    pendant set.
+    The free subset tx of the first claim ranges over the subsets that can
+    meet its hypotheses (see _thm_2_1_subsets), or only over T_x when the
+    table has more than _MAX_FREE_TX_N nonzero elements.
     """
+    f = table_facts(t)
     out: list[TheoremVerdict] = []
     elems = list(t.nonzero())
-    g = _graph_of(t)
     for x in elems:
-        others = [e for e in elems if e != x]
-        if t.n <= subset_cap:
-            pools: list[tuple[int, ...]] = []
-            for r in range(len(others) + 1):
-                pools.extend(combinations(others, r))
-        else:
-            pools = [tuple(sorted(_pendants(g, x)))]
-        for tx in pools:
-            out.append(verify_thm_2_1(t, x, tx))
-        out.append(verify_cor_2_2(t, x))
-        out.append(verify_prop_2_7(t, x))
+        for tx in _thm_2_1_subsets(f, x):
+            out.append(verify_thm_2_1(f, x, tx))
+        out.append(verify_cor_2_2(f, x))
+        out.append(verify_prop_2_7(f, x))
     for s in elems:
         for u in elems:
             if s < u:
-                out.append(verify_thm_2_9(t, s, u))
-    out.append(verify_prop_2_10(t))
-    out.append(verify_thm_3_2(t))
-    out.append(verify_cor_3_3(t))
-    out.append(verify_prop_3_6(t))
+                out.append(verify_thm_2_9(f, s, u))
+    out.append(verify_prop_2_10(f))
+    out.append(verify_thm_3_2(f))
+    out.append(verify_cor_3_3(f))
+    out.append(verify_prop_3_6(f))
     return out
 
 

@@ -7,6 +7,7 @@ lines; every tolerance and runtime bound is pinned here.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from conftest import all_connected_graphs
 from zdg import families, theorems
@@ -81,7 +82,7 @@ def test_criterion_06_pendant_triangle_fixture(fixture_tables):
     t5 = fixture_tables[5]
     assert check_axioms(t5) == []
     assert not is_subsemigroup(t5, {0, 4})
-    verdict = theorems.verify_prop_2_7(t5, 1)
+    verdict = theorems.verify_prop_2_7(theorems.table_facts(t5), 1)
     assert not verdict.hypotheses_met
     assert verdict.conclusion_holds is None
     _report(6, "fixture 5 valid, {0,x1} not closed, idempotency claim not applicable")
@@ -138,11 +139,27 @@ def test_criterion_08_theorem_falsification_sweep(fixture_tables):
         for mode in (PLAIN, BOOLEAN):
             tables.extend(realize_all(g, mode).tables)
     bad = []
+    applicable = Counter()
     for t in tables:
-        bad.extend(theorems.counterexamples(theorems.all_verdicts(t)))
+        verdicts = theorems.all_verdicts(t)
+        bad.extend(theorems.counterexamples(verdicts))
+        applicable.update(v.theorem for v in verdicts if v.hypotheses_met)
     assert bad == [], bad[:3]
+    assert len(tables) == 3960
+    assert applicable == {
+        "thm_2_1": 17387,
+        "prop_2_7": 8528,
+        "prop_2_10": 1383,
+        "cor_2_2": 880,
+        "thm_3_2": 219,
+        "cor_3_3": 219,
+        "prop_3_6": 37,
+        "thm_2_9": 3,
+    }
     elapsed = time.monotonic() - start
-    _report(8, f"zero counterexamples over {len(tables)} tables ({elapsed:.1f}s)")
+    counts = ", ".join(f"{name} {k}" for name, k in applicable.most_common())
+    _report(8, f"zero counterexamples over {len(tables)} tables, applicable "
+               f"instances: {counts} ({elapsed:.1f}s)")
 
 
 def test_criterion_09_clique_plus_vertex_boolean_census():

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from zdg import families, theorems
-from zdg.realize import PLAIN, realize_all
+from zdg.graph import from_edge_list
+from zdg.realize import BOOLEAN, PLAIN, realize_all
 from zdg.semigroup import table_from_rows, zero_divisor_graph
 
 A1, A2, A3, X1, X2 = 1, 2, 3, 4, 5
@@ -11,14 +15,14 @@ A1, A2, A3, X1, X2 = 1, 2, 3, 4, 5
 
 def test_thm_2_1_pendant_triangle(fixture_tables):
     t5 = fixture_tables[5]
-    v = theorems.verify_thm_2_1(t5, A1, {X1})
+    v = theorems.verify_thm_2_1(theorems.table_facts(t5), A1, {X1})
     assert v.hypotheses_met and v.conclusion_holds
 
 
 def test_thm_2_1_empty_tx_on_base_table(fixture_tables):
     # tx empty: hypothesis (3) then needs other vertices, which exist
     t1 = fixture_tables[1]
-    v = theorems.verify_thm_2_1(t1, A1, set())
+    v = theorems.verify_thm_2_1(theorems.table_facts(t1), A1, set())
     assert v.hypotheses_met and v.conclusion_holds
 
 
@@ -28,25 +32,25 @@ def test_thm_2_1_inapplicable_when_all_vertices_absorbed():
     t = rep.tables[0]
     g = zero_divisor_graph(t)
     # pick an end vertex's neighbor x; tx = all others
-    v = theorems.verify_thm_2_1(t, 1, {2, 3, 4})
+    v = theorems.verify_thm_2_1(theorems.table_facts(t), 1, {2, 3, 4})
     assert not v.hypotheses_met
 
 
 def test_thm_2_1_rejects_bad_input(fixture_tables):
     with pytest.raises(ValueError):
-        theorems.verify_thm_2_1(fixture_tables[5], 0, set())
-    v = theorems.verify_thm_2_1(fixture_tables[5], A1, {A1})
+        theorems.verify_thm_2_1(theorems.table_facts(fixture_tables[5]), 0, set())
+    v = theorems.verify_thm_2_1(theorems.table_facts(fixture_tables[5]), A1, {A1})
     assert not v.hypotheses_met
 
 
 def test_cor_2_2_on_fixture_tables(fixture_tables):
-    v = theorems.verify_cor_2_2(fixture_tables[5], A1)
+    v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[5]), A1)
     assert v.hypotheses_met and v.conclusion_holds
     # a2 in the two-pendant table: pendants exist, cycle exists
-    v = theorems.verify_cor_2_2(fixture_tables[2], A2)
+    v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[2]), A2)
     assert v.hypotheses_met and v.conclusion_holds
     # no pendants adjacent to x2 there
-    v = theorems.verify_cor_2_2(fixture_tables[2], X2)
+    v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[2]), X2)
     assert not v.hypotheses_met
 
 
@@ -54,13 +58,13 @@ def test_cor_2_2_no_claim_for_two_vertex_graph():
     # x*x = other endpoint is a legal two-vertex table and breaks the
     # closure claim, so the verifier must exclude that graph
     t = table_from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-    v = theorems.verify_cor_2_2(t, 2)
+    v = theorems.verify_cor_2_2(theorems.table_facts(t), 2)
     assert not v.hypotheses_met
 
 
 def test_prop_2_7_hypothesis_is_necessary(fixture_tables):
     t5 = fixture_tables[5]
-    v = theorems.verify_prop_2_7(t5, A1)
+    v = theorems.verify_prop_2_7(theorems.table_facts(t5), A1)
     assert not v.hypotheses_met  # a1*a1 = 0
     assert v.conclusion_holds is None
     # and indeed the conclusion would be false there
@@ -71,7 +75,7 @@ def test_prop_2_7_hypothesis_is_necessary(fixture_tables):
 
 def test_prop_2_7_applicable_case(fixture_tables):
     # x2 in the two-pendant table: cycle, not an end vertex, x2*x2 != 0
-    v = theorems.verify_prop_2_7(fixture_tables[2], X2)
+    v = theorems.verify_prop_2_7(theorems.table_facts(fixture_tables[2]), X2)
     assert v.hypotheses_met and v.conclusion_holds
 
 
@@ -85,55 +89,55 @@ def test_thm_2_9_qualifying_pairs():
             for s in t.nonzero():
                 for u in t.nonzero():
                     if s < u:
-                        v = theorems.verify_thm_2_9(t, s, u)
+                        v = theorems.verify_thm_2_9(theorems.table_facts(t), s, u)
                         if v.hypotheses_met:
                             assert v.conclusion_holds, v
 
 
 def test_thm_2_9_fixture_3_hubs(fixture_tables):
-    v = theorems.verify_thm_2_9(fixture_tables[3], A1, A2)
+    v = theorems.verify_thm_2_9(theorems.table_facts(fixture_tables[3]), A1, A2)
     assert v.hypotheses_met and v.conclusion_holds
 
 
 def test_thm_2_9_degenerate_two_vertex_graph_excluded():
     allzero = table_from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    v = theorems.verify_thm_2_9(allzero, 1, 2)
+    v = theorems.verify_thm_2_9(theorems.table_facts(allzero), 1, 2)
     assert not v.hypotheses_met
 
 
 def test_thm_2_9_not_applicable_without_pendants(fixture_tables):
-    v = theorems.verify_thm_2_9(fixture_tables[1], A1, A2)
+    v = theorems.verify_thm_2_9(theorems.table_facts(fixture_tables[1]), A1, A2)
     assert not v.hypotheses_met
 
 
 def test_prop_2_10_on_boolean_star():
     # star: center is the unique maximal-degree vertex and is idempotent
     t = families.boolean_rpartite_table([1, 3])
-    v = theorems.verify_prop_2_10(t)
+    v = theorems.verify_prop_2_10(theorems.table_facts(t))
     assert v.hypotheses_met and v.conclusion_holds
 
 
 def test_thm_3_2_and_cor_3_3_on_rpartite():
     for sizes in ([2, 2], [2, 1], [3, 2, 1]):
         t = families.boolean_rpartite_table(sizes)
-        v = theorems.verify_thm_3_2(t)
+        v = theorems.verify_thm_3_2(theorems.table_facts(t))
         assert v.hypotheses_met and v.conclusion_holds, v
-        v = theorems.verify_cor_3_3(t)
+        v = theorems.verify_cor_3_3(theorems.table_facts(t))
         assert v.hypotheses_met and v.conclusion_holds, v
 
 
 def test_thm_3_2_not_applicable_on_non_boolean(fixture_tables):
-    v = theorems.verify_thm_3_2(fixture_tables[1])
+    v = theorems.verify_thm_3_2(theorems.table_facts(fixture_tables[1]))
     assert not v.hypotheses_met
 
 
 def test_prop_3_6_consistency(fixture_tables):
     # reduced with uniquely determined graph forces idempotency;
     # fixture 5 is not reduced, so not applicable
-    v = theorems.verify_prop_3_6(fixture_tables[5])
+    v = theorems.verify_prop_3_6(theorems.table_facts(fixture_tables[5]))
     assert not v.hypotheses_met
     t = families.boolean_rpartite_table([1, 1, 1])
-    v = theorems.verify_prop_3_6(t)
+    v = theorems.verify_prop_3_6(theorems.table_facts(t))
     assert v.hypotheses_met and v.conclusion_holds
 
 
@@ -153,14 +157,60 @@ def test_all_verdicts_cover_every_verifier(fixture_tables):
     assert not theorems.counterexamples(vs)
 
 
-def test_subset_cap_falls_back_to_pendant_sets(fixture_tables):
-    vs = theorems.all_verdicts(fixture_tables[3], subset_cap=4)
-    thm21 = [v for v in vs if v.theorem == "thm_2_1"]
-    # one tx per element instead of 2^(n-1)
-    assert len(thm21) == fixture_tables[3].n
+def _applicable(verdicts):
+    return Counter(v for v in verdicts if v.hypotheses_met)
+
+
+def _separated(t, x, tx):
+    """tx holds every end vertex at x and has no edge to S - tx - {0, x},
+    read off the product table."""
+    def hood(y):
+        return {z for z in t.nonzero() if z != y and t.prod[y][z] == 0}
+
+    rest = set(t.nonzero()) - set(tx) - {x}
+    ends = {y for y in hood(x) if hood(y) == {x}}
+    return ends <= set(tx) and not any(hood(a) & rest for a in tx)
+
+
+def test_thm_2_1_subsets_match_power_set(connected_upto_4, fixture_tables):
+    # reference: every subset of S - {0, x}, each through the verifier; the
+    # sweep keeps exactly the separated ones, in the same order
+    tables = [fixture_tables[k] for k in (1, 2, 5)]
+    for g in connected_upto_4:
+        for mode in (PLAIN, BOOLEAN):
+            tables.extend(realize_all(g, mode).tables)
+    # K4 and a triangle sharing vertex 3: removing it leaves the larger
+    # component first, so the candidates must be sorted to keep the order
+    k4_triangle = from_edge_list(
+        6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]
+    )
+    for g in (families.fig1(1, 1), families.two_star(2, 2), k4_triangle):
+        tables.extend(realize_all(g, PLAIN).tables)
+    for t in tables:
+        f = theorems.table_facts(t)
+        reference = [
+            (x, tx, theorems.verify_thm_2_1(f, x, tx))
+            for x in t.nonzero()
+            for r in range(t.n)
+            for tx in combinations([e for e in t.nonzero() if e != x], r)
+        ]
+        swept = [v for v in theorems.all_verdicts(t) if v.theorem == "thm_2_1"]
+        assert _applicable(swept) == _applicable(v for _, _, v in reference), t.prod
+        assert swept == [v for x, tx, v in reference if _separated(t, x, tx)], t.prod
+
+
+def test_nine_element_fixtures_check_only_pendant_sets(fixture_tables):
+    for k in (3, 4):
+        t = fixture_tables[k]
+        f = theorems.table_facts(t)
+        thm21 = [v for v in theorems.all_verdicts(t) if v.theorem == "thm_2_1"]
+        assert t.n == 9
+        assert [v.instance for v in thm21] == [
+            f"thm_2_1(x={x}, tx={sorted(f.pendants[x])})" for x in t.nonzero()
+        ]
 
 
 def test_verdict_serialization(fixture_tables):
-    v = theorems.verify_cor_2_2(fixture_tables[5], A1)
+    v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[5]), A1)
     d = v.to_dict()
     assert d["theorem"] == "cor_2_2" and d["hypotheses_met"] is True
