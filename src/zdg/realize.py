@@ -17,6 +17,7 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import TooLargeError
 from .graph import Graph, automorphisms, bits, is_connected, popcount
@@ -310,20 +311,61 @@ def apply_automorphism(t: MulTable, perm: tuple[int, ...]) -> MulTable:
     return table_from_rows(rows)
 
 
-def iso_class_count(tables, g: Graph, max_n: int = DEFAULT_MAX_N) -> int:
-    """Orbits of the table set under Aut(G); Aut(G) is not computed for
-    fewer than two tables."""
-    if len(tables) < 2:
-        return len(tables)
-    auts = automorphisms(g, max_n=max_n)
-    seen = set()
-    count = 0
-    for t in tables:
-        key = min(canonical_key(apply_automorphism(t, a)) for a in auts)
-        if key not in seen:
-            seen.add(key)
-            count += 1
-    return count
+def _image_maps(g: Graph, max_n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Per automorphism p of g, the element map and, for each position of a
+    canonical key, the position of the original key it is read from: the
+    image of table t under p has key[k] = p[t[q[i]][q[j]]] at the k-th
+    upper-triangle cell (i, j), with q the inverse of p."""
+    n = g.n
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    pos = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, (i, j) in enumerate(cells):
+        pos[i][j] = pos[j][i] = k
+    maps = []
+    for a in automorphisms(g, max_n=max_n):
+        p = (0,) + tuple(v + 1 for v in a)
+        q = [0] * (n + 1)
+        for e in range(n + 1):
+            q[p[e]] = e
+        maps.append((p, [pos[q[i]][q[j]] for i, j in cells]))
+    return maps
+
+
+def iso_class_count(
+    keys, g: Graph, max_n: int = DEFAULT_MAX_N, complete: bool = False
+) -> int:
+    """Orbits under Aut(G) of the tables with the given canonical keys.
+
+    Walks the keys in the order given; a key already seen is skipped,
+    otherwise it opens a new orbit and the keys of all its Aut(G) images
+    are marked seen.  So Aut(G) is applied once per orbit, not once per
+    table, and the count is exact for any subset of tables, closed under
+    Aut(G) or not.  Aut(G) is not computed for fewer than two keys.
+
+    complete says the keys are every realization of g, so the set must be
+    closed under Aut(G): each image of each orbit must be among the keys,
+    and the orbit sizes |Aut(G)| / |Stab(T)| must sum to len(keys).
+    AssertionError otherwise.
+    """
+    if len(keys) < 2:
+        return len(keys)
+    maps = _image_maps(g, max_n)
+    emitted = set(keys) if complete else None
+    seen: set[tuple[int, ...]] = set()
+    sizes = []
+    for key in keys:
+        if key in seen:
+            continue
+        images = {tuple([p[key[k]] for k in idx]) for p, idx in maps}
+        if complete and not images <= emitted:
+            raise AssertionError(f"search missed an Aut(G) image of table {key}")
+        seen |= images
+        sizes.append(len(images))
+    if complete and sum(sizes) != len(keys):
+        raise AssertionError(
+            f"orbit sizes sum to {sum(sizes)}, but {len(keys)} tables were emitted"
+        )
+    return len(sizes)
 
 
 def _status(count: int) -> str:
@@ -399,13 +441,14 @@ def realize_all(
     if propagate(root) is None:
         _dfs(root, g, sols, None if limit is None else limit + 1)
     truncated = limit is not None and len(sols) > limit
-    sols = sorted(sols[:limit], key=canonical_key)
-    iso = iso_class_count(sols, g, max_n=max_n)
+    keyed = sorted(((canonical_key(t), t) for t in sols[:limit]), key=itemgetter(0))
+    keys = [k for k, _ in keyed]
+    iso = iso_class_count(keys, g, max_n=max_n, complete=not truncated)
     return RealizationReport(
         mode=mode,
         n=g.n,
-        tables=tuple(sols),
-        labeled_count=len(sols),
+        tables=tuple(t for _, t in keyed),
+        labeled_count=len(keyed),
         iso_class_count=iso,
         status=_status(iso),
         truncated=truncated,
@@ -420,6 +463,13 @@ def classify_uniqueness(report: RealizationReport) -> str:
     if report.truncated:
         raise ValueError("cannot classify a truncated report")
     return report.status
+
+
+def _per_table_class_count(tables, g: Graph) -> int:
+    """The oracle's orbit count, independent of iso_class_count: each
+    table's least image key under Aut(G) names its orbit."""
+    auts = automorphisms(g)
+    return len({min(canonical_key(apply_automorphism(t, a)) for a in auts) for t in tables})
 
 
 def brute_force_realize(g: Graph, mode: str = PLAIN) -> RealizationReport:
@@ -474,7 +524,7 @@ def brute_force_realize(g: Graph, mode: str = PLAIN) -> RealizationReport:
 
     rec(0)
     sols.sort(key=canonical_key)
-    iso = iso_class_count(sols, g)
+    iso = _per_table_class_count(sols, g)
     return RealizationReport(
         mode=mode,
         n=n,

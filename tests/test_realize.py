@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import pytest
 
+import zdg.realize
 from conftest import all_connected_graphs
 from zdg import families
 from zdg.errors import TooLargeError
-from zdg.graph import from_edge_list
+from zdg.graph import from_edge_list, is_isomorphic
 from zdg.realize import (
     BOOLEAN,
     PLAIN,
     Conflict,
+    _per_table_class_count,
     brute_force_realize,
     canonical_key,
     classify_uniqueness,
     init_state,
+    iso_class_count,
     propagate,
     realization_exists,
     realize_all,
@@ -159,6 +162,69 @@ def test_iso_class_count_skips_automorphisms_below_two_tables(monkeypatch):
     monkeypatch.setattr(zdg.realize, "automorphisms", refuse)
     assert realize_all(families.fig1(0, 0)).iso_class_count == 1
     assert realize_all(families.m_nk(4, 3)).iso_class_count == 0
+
+
+@pytest.fixture(scope="module")
+def connected_classes_upto_5():
+    """One connected graph per isomorphism class on 1..5 vertices."""
+    reps = []
+    for n in range(1, 6):
+        for g in all_connected_graphs(n):
+            if not any(h.n == n and is_isomorphic(g, h) for h in reps):
+                reps.append(g)
+    return reps
+
+
+@pytest.mark.parametrize("mode", [PLAIN, BOOLEAN])
+def test_orbit_count_matches_per_table_formula(connected_classes_upto_5, mode):
+    for g in connected_classes_upto_5:
+        rep = realize_all(g, mode)
+        assert rep.iso_class_count == _per_table_class_count(rep.tables, g), g.edges()
+
+
+@pytest.mark.parametrize("limit", [5, 50, 215])
+def test_orbit_count_exact_on_truncated_sets(limit):
+    g = families.fig4(2, 2, 2)
+    rep = realize_all(g, limit=limit)
+    assert rep.truncated
+    assert rep.iso_class_count == _per_table_class_count(rep.tables, g)
+    # the subset is not closed under Aut(G), so it fails the complete check
+    with pytest.raises(AssertionError):
+        iso_class_count([canonical_key(t) for t in rep.tables], g, complete=True)
+
+
+def _edit_search_output(monkeypatch, edit):
+    """Make the search apply edit to its list of tables before returning it."""
+    real = zdg.realize._dfs
+    depth = [0]
+
+    def search(*args):
+        depth[0] += 1
+        try:
+            more = real(*args)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            edit(args[2])
+        return more
+
+    monkeypatch.setattr(zdg.realize, "_dfs", search)
+
+
+def test_orbit_stabilizer_check_catches_a_dropped_table(monkeypatch):
+    # on K2 the table with squares (0, 1) shares its orbit with (2, 0)
+    def drop(out):
+        out[:] = [t for t in out if (t.prod[1][1], t.prod[2][2]) != (0, 1)]
+
+    _edit_search_output(monkeypatch, drop)
+    with pytest.raises(AssertionError, match="missed an Aut"):
+        realize_all(from_edge_list(2, [(0, 1)]))
+
+
+def test_orbit_stabilizer_check_catches_a_repeated_table(monkeypatch):
+    _edit_search_output(monkeypatch, lambda out: out.append(out[0]))
+    with pytest.raises(AssertionError, match="orbit sizes sum to 6, but 7"):
+        realize_all(from_edge_list(2, [(0, 1)]))
 
 
 def test_size_guard_and_preconditions():
