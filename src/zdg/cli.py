@@ -268,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "theorems" and not args.sweep and not args.table:
-        print("theorems needs a table file or --sweep GRAPH", file=sys.stderr)
+    if args.command == "theorems" and bool(args.sweep) == bool(args.table):
+        print("theorems needs exactly one of a table file and --sweep GRAPH", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

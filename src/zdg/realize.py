@@ -16,7 +16,8 @@ independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import TooLargeError
@@ -56,7 +57,11 @@ class SearchState:
     """A partially filled table plus per-cell candidate bitmasks.
 
     table[i][j] is an element id or UNKNOWN; unknown cells (i <= j) have an
-    entry in domains; trail records assignments in order.
+    entry in domains.  dirty holds the elements whose cells were filled or
+    narrowed since the last propagation fixpoint: both coordinates of each
+    such cell.  A fresh state marks every element, so its first propagate
+    checks every triple; a branch assigns one cell and marks its two
+    coordinates.
     """
 
     n: int
@@ -64,7 +69,7 @@ class SearchState:
     adj: tuple[int, ...]  # element-indexed neighbor masks, adj[0] = 0
     table: list[list[int]]
     domains: dict[tuple[int, int], int]
-    trail: list[tuple[int, int, int]] = field(default_factory=list)
+    dirty: set[int]
 
     def copy(self) -> "SearchState":
         return SearchState(
@@ -73,7 +78,7 @@ class SearchState:
             self.adj,
             [row[:] for row in self.table],
             dict(self.domains),
-            list(self.trail),
+            set(self.dirty),
         )
 
     def assign(self, i: int, j: int, v: int) -> Conflict | None:
@@ -88,7 +93,8 @@ class SearchState:
         del self.domains[(a, b)]
         self.table[a][b] = v
         self.table[b][a] = v
-        self.trail.append((a, b, v))
+        self.dirty.add(a)
+        self.dirty.add(b)
         return None
 
     def snapshot(self) -> MulTable:
@@ -143,7 +149,7 @@ def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
                 domains[(x, y)] = 0
             else:
                 domains[(x, y)] = mask
-    return SearchState(n, mode, adj, table, domains)
+    return SearchState(n, mode, adj, table, domains, set(range(1, n + 1)))
 
 
 def propagate(state: SearchState) -> Conflict | None:
@@ -155,12 +161,25 @@ def propagate(state: SearchState) -> Conflict | None:
         the remaining unknown factor cell;
       * singleton candidate sets assign immediately.
 
+    The work is incremental.  Every assignment and every narrowing marks
+    both coordinates of its cell in state.dirty.  Each round runs the
+    singleton sweep, takes the dirty elements and checks only the triples
+    (a, b, c), a <= c, with a or c among them.  No triple is missed: each
+    cell a triple's rule reads has a or c as a coordinate -- (a, b), (b, c),
+    (ab, c), (a, bc) and the pruning lookups (w, a) and (w, c) -- so a triple
+    none of whose cells changed since its last check cannot fire.  The rules
+    only shrink candidate sets, so they have one greatest fixpoint, reached
+    whatever the order of checks: the state is the same as if every triple
+    were checked every round.  A fresh state has every element dirty, so the
+    root call checks every triple.
+
     Returns a Conflict if a candidate set empties or forced values clash;
     the state is then dead.
     """
     n = state.n
     T = state.table
     dom = state.domains
+    dirty = state.dirty
 
     def prune(cell: tuple[int, int], other: int, want: int) -> Conflict | None:
         # keep candidates w of cell for which w*other can still equal want
@@ -185,13 +204,10 @@ def propagate(state: SearchState) -> Conflict | None:
         if keep == 0:
             return Conflict(cell, None, f"no candidate multiplies with {other} to {want}")
         dom[cell] = keep
-        nonlocal changed
-        changed = True
+        dirty.update(cell)
         return None
 
-    changed = True
-    while changed:
-        changed = False
+    while dirty:
         # singleton sweep
         for cell in list(dom):
             m = dom[cell]
@@ -201,15 +217,20 @@ def propagate(state: SearchState) -> Conflict | None:
                 conflict = state.assign(cell[0], cell[1], m.bit_length() - 1)
                 if conflict:
                     return conflict
-                changed = True
-        # associativity sweep; triples (a, b, c) with a <= c cover all of
-        # them up to commutativity
+        # associativity sweep over the triples (a, b, c) with a <= c (the
+        # rest follow by commutativity) and a or c dirty
+        marked = sorted(dirty)
+        rows = [
+            (a, range(a, n + 1) if a in dirty else marked[bisect_right(marked, a):])
+            for a in range(1, marked[-1] + 1)
+        ]
+        dirty.clear()
         for b in range(1, n + 1):
             Tb = T[b]
-            for a in range(1, n + 1):
+            for a, cols in rows:
                 Ta = T[a]
                 ab = Ta[b]
-                for c in range(a, n + 1):
+                for c in cols:
                     bc = Tb[c]
                     if ab != UNKNOWN:
                         if bc != UNKNOWN:
@@ -227,12 +248,10 @@ def propagate(state: SearchState) -> Conflict | None:
                                     conflict = state.assign(a, bc, left)
                                     if conflict:
                                         return Conflict(conflict.cell, (a, b, c), conflict.reason)
-                                    changed = True
                             elif right != UNKNOWN:
                                 conflict = state.assign(ab, c, right)
                                 if conflict:
                                     return Conflict(conflict.cell, (a, b, c), conflict.reason)
-                                changed = True
                             else:
                                 kl = (ab, c) if ab <= c else (c, ab)
                                 kr = (a, bc) if a <= bc else (bc, a)
@@ -242,10 +261,10 @@ def propagate(state: SearchState) -> Conflict | None:
                                         return Conflict(kl, (a, b, c), "twin cells disagree")
                                     if m != dom[kl]:
                                         dom[kl] = m
-                                        changed = True
+                                        dirty.update(kl)
                                     if m != dom[kr]:
                                         dom[kr] = m
-                                        changed = True
+                                        dirty.update(kr)
                         else:
                             left = T[ab][c]
                             if left != UNKNOWN:

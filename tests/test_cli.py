@@ -179,6 +179,13 @@ def test_size_guard_exit_2(tmp_path, capsys):
     assert json.loads(out)["status"] == "none"
 
 
-def test_theorems_requires_input(capsys):
+def test_theorems_requires_input(tmp_path, base_graph_file, capsys):
     code, _, err = run(capsys, "theorems")
-    assert code == 2
+    assert code == 2 and "exactly one" in err
+    # a table next to --sweep would be ignored, so it is refused whether or
+    # not it exists
+    table_file = tmp_path / "t5.zdg-table"
+    run(capsys, "fixture", "5", "-o", str(table_file))
+    for table in (str(table_file), str(tmp_path / "missing.zdg-table")):
+        code, out, err = run(capsys, "theorems", table, "--sweep", base_graph_file)
+        assert code == 2 and out == "" and "exactly one" in err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import zdg.realize
@@ -95,6 +97,71 @@ def test_fixpoint_on_complete_assignment(fixture_tables):
     before = [row[:] for row in state.table]
     assert propagate(state) is None
     assert state.table == before
+
+
+_SEARCHES = {
+    "K5": (families.complete(5), PLAIN),
+    "K2,3": (families.complete_bipartite(2, 3), PLAIN),
+    "K1,4": (families.complete_bipartite(1, 4), PLAIN),
+    "K2,2,1": (families.complete_multipartite([2, 2, 1]), PLAIN),
+    "K2,2,2": (families.complete_multipartite([2, 2, 2]), PLAIN),
+    "m-nk 5 1": (families.m_nk(5, 1), PLAIN),
+    "fig4 2 2 2": (families.fig4(2, 2, 2), PLAIN),
+    "m-nk 6 2": (families.m_nk(6, 2), PLAIN),
+    "m-nk 7 2": (families.m_nk(7, 2), PLAIN),
+    "boolean K3,3": (families.complete_bipartite(3, 3), BOOLEAN),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["K5", "K2,3", "K1,4", "m-nk 5 1", "fig4 2 2 2", "m-nk 6 2", "boolean K3,3"]
+)
+def test_incremental_propagation_reaches_the_full_fixpoint(monkeypatch, name):
+    # after each successful propagate, checking every triple again (every
+    # element dirty) must change no cell and no candidate set
+    real = zdg.realize.propagate
+    calls = [0]
+
+    def checked(state):
+        conflict = real(state)
+        if conflict is None:
+            calls[0] += 1
+            table = [row[:] for row in state.table]
+            domains = dict(state.domains)
+            state.dirty.update(range(1, state.n + 1))
+            assert real(state) is None
+            assert state.table == table and state.domains == domains
+        return conflict
+
+    monkeypatch.setattr(zdg.realize, "propagate", checked)
+    graph, mode = _SEARCHES[name]
+    realize_all(graph, mode)
+    assert calls[0] > 1
+
+
+# labeled count, orbit count and sha256 of the sorted canonical keys, computed
+# with a propagation that checked every triple on every round; beyond the
+# oracle's n <= 4, these catch a search that loses or gains tables, a whole
+# orbit included
+_PINNED = {
+    "K5": (537, 19, "10490fbc5b0fcf7172fddfe2ce8c75a7e979780f1955f10931f7a18d095ed138"),
+    "K2,3": (648, 60, "9aea0ebca1720ad85c056f18c5bcf832aabc36d5510c68294a3554946772bbdd"),
+    "K2,2,1": (260, 46, "fb6802a0e7fb29f4ce89686ca8b385db1682758368ca2b16d7d7b4624b90da5a"),
+    "K2,2,2": (512, 20, "d4405254eaf273f40f2c3ba3151c526aa2cfd4dd32064e0069d6991bc77b6dd4"),
+    "m-nk 5 1": (1024, 87, "44415532fd52c338a2899e2e01ee90adbde2bd8ad803937f498dbf52e14ec9ba"),
+    "fig4 2 2 2": (216, 10, "832a34ab8f0d0173e947ad59a97d2a3ba39920f77d41d8f082eba52796498093"),
+    "m-nk 7 2": (5, 1, "8d78b8b6bc4e62f27ffc208b6d8afe3dbf6b3d4825894d567aae2a1977aac3d1"),
+    "boolean K3,3": (81, 3, "feb70872eef2593c8ddeeb1782ab338edb349792ef43904cd34947c9406a3cbc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_search_output_pinned(name):
+    graph, mode = _SEARCHES[name]
+    rep = realize_all(graph, mode)
+    keys = sorted(canonical_key(t) for t in rep.tables)
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert (rep.labeled_count, rep.iso_class_count, digest) == _PINNED[name]
 
 
 def test_soundness_and_fixture_completeness(fixture_tables):
