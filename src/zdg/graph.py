@@ -31,7 +31,7 @@ def bits(mask: int):
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,6 @@ class Graph:
         """Closed neighborhood N(v) | {v} as a bitmask."""
         return self.adj[v] | (1 << v)
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.adj[v]))
-
     def degree(self, v: int) -> int:
         return popcount(self.adj[v])
 
@@ -83,10 +80,6 @@ class Graph:
 
     def name_of(self, v: int) -> str:
         return self.names[v] if self.names is not None else f"v{v}"
-
-    def stripped(self) -> "Graph":
-        """The same graph with names dropped."""
-        return Graph(self.n, self.adj) if self.names is not None else self
 
 
 def from_edge_list(n: int, edges, names=None) -> Graph:

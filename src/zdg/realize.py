@@ -57,16 +57,17 @@ class SearchState:
     """A partially filled table plus per-cell candidate bitmasks.
 
     table[i][j] is an element id or UNKNOWN; unknown cells (i <= j) have an
-    entry in domains.  dirty holds the elements whose cells were filled or
-    narrowed since the last propagation fixpoint: both coordinates of each
-    such cell.  A fresh state marks every element, so its first propagate
-    checks every triple; a branch assigns one cell and marks its two
-    coordinates.
+    entry in domains.  deg, the branching tie-break, is computed once from G
+    and shared by every copy.  dirty holds the elements whose cells were
+    filled or narrowed since the last propagation fixpoint: both coordinates
+    of each such cell.  A fresh state marks every element, so its first
+    propagate checks every triple; a branch assigns one cell and marks its
+    two coordinates.
     """
 
     n: int
     mode: str
-    adj: tuple[int, ...]  # element-indexed neighbor masks, adj[0] = 0
+    deg: tuple[int, ...]  # element-indexed degrees in G, deg[0] = 0
     table: list[list[int]]
     domains: dict[tuple[int, int], int]
     dirty: set[int]
@@ -75,7 +76,7 @@ class SearchState:
         return SearchState(
             self.n,
             self.mode,
-            self.adj,
+            self.deg,
             [row[:] for row in self.table],
             dict(self.domains),
             set(self.dirty),
@@ -149,7 +150,8 @@ def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
                 domains[(x, y)] = 0
             else:
                 domains[(x, y)] = mask
-    return SearchState(n, mode, adj, table, domains, set(range(1, n + 1)))
+    deg = (0,) + tuple(g.degree(v) for v in range(n))
+    return SearchState(n, mode, deg, table, domains, set(range(1, n + 1)))
 
 
 def propagate(state: SearchState) -> Conflict | None:
@@ -394,10 +396,18 @@ def _status(count: int) -> str:
 
 
 def _pick_cell(state: SearchState) -> tuple[int, int] | None:
+    """The unknown cell to branch on, or None when the table is complete.
+
+    Cells rank by fewest candidates (fail first), then by least
+    deg(x) + deg(y) in G, then by cell.  The first two keys do not depend on
+    how G's vertices are numbered, so the cell index only breaks ties
+    between cells alike on both.
+    """
+    deg = state.deg
     best = None
     best_rank = None
     for cell, m in state.domains.items():
-        rank = (popcount(m), cell)
+        rank = (popcount(m), deg[cell[0]] + deg[cell[1]], cell)
         if best_rank is None or rank < best_rank:
             best_rank = rank
             best = cell
@@ -405,12 +415,23 @@ def _pick_cell(state: SearchState) -> tuple[int, int] | None:
 
 
 def _verify_solution(state: SearchState, g: Graph) -> MulTable:
+    """Check a complete table independently of the propagation that built
+    it: associative, every nonzero element a zero divisor, products zero at
+    exactly the edges of g, and idempotent in boolean mode."""
     t = state.snapshot()
     bad = assoc_violation_symmetric(t.prod)
     if bad is not None:
         raise AssertionError(f"search produced a non-associative table at {bad}")
-    if zero_divisor_graph(t).adj != g.adj:
-        raise AssertionError("search produced a table with the wrong graph")
+    for x in t.nonzero():
+        zeros = 0
+        for y, v in enumerate(t.prod[x]):
+            if v == 0:
+                zeros |= 1 << y
+        zeros &= ~1  # element ids only
+        if not zeros:
+            raise AssertionError(f"search produced element {x}, not a zero divisor")
+        if zeros & ~(1 << x) != g.adj[x - 1] << 1:
+            raise AssertionError("search produced a table with the wrong graph")
     if state.mode == BOOLEAN and any(t.prod[x][x] != x for x in t.nonzero()):
         raise AssertionError("search produced a non-boolean table in boolean mode")
     return t

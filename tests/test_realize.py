@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +16,7 @@ from zdg.realize import (
     PLAIN,
     Conflict,
     _per_table_class_count,
+    _verify_solution,
     brute_force_realize,
     canonical_key,
     classify_uniqueness,
@@ -162,6 +165,84 @@ def test_search_output_pinned(name):
     keys = sorted(canonical_key(t) for t in rep.tables)
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert (rep.labeled_count, rep.iso_class_count, digest) == _PINNED[name]
+
+
+def _f2k_graph(k):
+    """Zero-divisor graph of the bit-vector ring F_2^k: the proper nonzero
+    masks, joined when disjoint."""
+    masks = range(1, (1 << k) - 1)
+    pairs = [(a - 1, b - 1) for a, b in combinations(masks, 2) if not a & b]
+    return from_edge_list(len(masks), pairs)
+
+
+_RELABELED = {
+    **{f"m-nk {k} 2": (families.m_nk(k, 2), PLAIN, 12) for k in range(5, 9)},
+    "boolean F2^5": (_f2k_graph(5), BOOLEAN, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RELABELED))
+def test_branching_does_not_depend_on_labels(monkeypatch, name):
+    # the search tree is a fact about the graph: over random relabelings the
+    # number of propagate calls may vary by at most a factor of two
+    real = zdg.realize.propagate
+    calls = [0]
+
+    def counted(state):
+        calls[0] += 1
+        return real(state)
+
+    monkeypatch.setattr(zdg.realize, "propagate", counted)
+    graph, mode, max_n = _RELABELED[name]
+    rng = random.Random(0)
+    counts = []
+    for _ in range(10):
+        perm = list(range(graph.n))
+        rng.shuffle(perm)
+        relabeled = from_edge_list(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
+        calls[0] = 0
+        realize_all(relabeled, mode, max_n=max_n)
+        counts.append(calls[0])
+    assert max(counts) <= 2 * min(counts), counts
+
+
+def _complete_state(g, mode, rows):
+    """A search state for g whose table is rows, with no cell left open."""
+    state = init_state(g, mode)
+    state.table = [list(row) for row in rows]
+    state.domains.clear()
+    return state
+
+
+_P3 = from_edge_list(3, [(0, 1), (1, 2)])
+_K2 = from_edge_list(2, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "g, mode, rows, match",
+    [
+        # the null semigroup on three elements has graph K3: 1*3 = 0 off an edge
+        (_P3, PLAIN, [[0] * 4] * 4, "wrong graph"),
+        # a realization of P3 (1*3 = 2) checked against K3: nonzero on an edge
+        (
+            families.complete(3),
+            PLAIN,
+            [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 2, 0, 0]],
+            "wrong graph",
+        ),
+        # a lone element with 1*1 = 1 has no zero partner
+        (from_edge_list(1, []), PLAIN, [[0, 0], [0, 1]], "not a zero divisor"),
+        # (1*1)*2 = 2*2 = 1 but 1*(1*2) = 1*0 = 0
+        (_K2, PLAIN, [[0, 0, 0], [0, 2, 0], [0, 0, 1]], "non-associative"),
+        # the null semigroup on K2 is associative but 1*1 = 0 != 1
+        (_K2, BOOLEAN, [[0] * 3] * 3, "non-boolean"),
+    ],
+    ids=["zero off an edge", "no zero on an edge", "lone idempotent", "non-associative",
+         "non-boolean"],
+)
+def test_leaf_check_rejects_bad_tables(g, mode, rows, match):
+    with pytest.raises(AssertionError, match=match):
+        _verify_solution(_complete_state(g, mode, rows), g)
 
 
 def test_soundness_and_fixture_completeness(fixture_tables):
