@@ -4,12 +4,12 @@ and reconstruction of the ring.
 The pipeline: a connected graph qualifies iff (1) distinct vertices have
 distinct neighborhoods, (2) it is uniquely complemented, (3) nonempty
 neighborhood intersections are themselves neighborhoods, and (4) an
-idempotent semigroup realizes it.  Given all four, the neighborhoods
-ordered by inclusion (with bottom = the empty set owned by the adjoined 1
-and top = the whole vertex set owned by 0) form a boolean algebra whose
-join is N(x) v N(y) = N(xy); ring addition falls out of the complement
-structure and every axiom is verified exhaustively before the ring is
-returned.
+idempotent semigroup realizes it.  Given all four, the elements ordered
+by inclusion of their neighborhoods (bottom = the adjoined 1, whose
+neighborhood is empty, and top = 0, whose neighborhood is the whole vertex
+set) form a boolean algebra whose join is the product, N(x) v N(y) = N(xy);
+ring addition falls out of the complement structure and every axiom is
+verified exhaustively before the ring is returned.
 """
 
 from __future__ import annotations
@@ -96,148 +96,87 @@ def check_boolean_graph_conditions(g: Graph, max_n: int = DEFAULT_MAX_N) -> Bool
     )
 
 
+@dataclass(frozen=True)
 class NeighborhoodAlgebra:
-    """The set of neighborhoods {N(x)} | {empty, V(G)} ordered by inclusion,
-    with join through semigroup products, meet by intersection, and verified
-    complements and distributivity.
+    """The boolean algebra of a graph's neighborhoods, indexed by element.
 
     Element ids follow the semigroup convention (0 = zero, 1..n = vertices)
-    with n+1 for the adjoined identity; masks are vertex bitmasks.
+    with n+1 for the adjoined identity.  Distinct elements have distinct
+    neighborhoods, so an element stands for its neighborhood, and the
+    order is inclusion of neighborhoods.  Every table is indexed by
+    element id:
+
+    - ``hood[e]`` is N(e) as a vertex bitmask, with N(0) = V(G) and
+      N(n+1) empty;
+    - ``mul`` is the product extended by the identity, and it is the join:
+      N(a) v N(b) = N(ab);
+    - ``meet[a][b]`` is the element whose neighborhood is N(a) & N(b);
+    - ``complement[a]`` is the unique b with ab = 0 and meet n+1.
     """
 
-    def __init__(self, g: Graph, s: MulTable):
-        if s.n != g.n:
-            raise ValueError("table size must match the graph")
-        if not is_boolean(s):
-            raise ValueError("table must be idempotent")
-        if zero_divisor_graph(s).adj != g.adj:
-            raise ValueError("table does not realize the graph")
-        n = g.n
-        self.n = n
-        self.one = n + 1
-        full = (1 << n) - 1
-        self.ground = full
-
-        # owner element of each neighborhood mask
-        hood: dict[int, int] = {0: self.one, full: 0}
-        for v in range(n):
-            mask = g.adj[v]
-            if mask in hood:
-                raise LatticeError(f"neighborhoods collide at vertex {v}")
-            hood[mask] = v + 1
-        self.elems: tuple[int, ...] = tuple(sorted(hood))
-        self._owner = {mask: hood[mask] for mask in self.elems}
-        self._index = {mask: i for i, mask in enumerate(self.elems)}
-
-        # extended product on elements 0..n+1
-        def mul(a: int, b: int) -> int:
-            if a == self.one:
-                return b
-            if b == self.one:
-                return a
-            return s.prod[a][b]
-
-        def hood_of(e: int) -> int:
-            if e == 0:
-                return full
-            if e == self.one:
-                return 0
-            return g.adj[e - 1]
-
-        k = len(self.elems)
-        join = [[0] * k for _ in range(k)]
-        meet = [[0] * k for _ in range(k)]
-        for i, a in enumerate(self.elems):
-            for j, b in enumerate(self.elems):
-                jm = hood_of(mul(self._owner[a], self._owner[b]))
-                if jm not in self._index:
-                    raise LatticeError(f"join of {a:#x} and {b:#x} leaves the lattice")
-                mm = a & b
-                if mm not in self._index:
-                    raise LatticeError(
-                        f"meet of N({self._owner[a]}) and N({self._owner[b]}) "
-                        "is no neighborhood"
-                    )
-                join[i][j] = self._index[jm]
-                meet[i][j] = self._index[mm]
-        self._join = join
-        self._meet = meet
-        self._element_index = tuple(self._index[hood_of(e)] for e in range(n + 2))
-        self._verify_lattice()
-        self._complement = self._find_complements()
-
-    # -- verified structure ------------------------------------------------
-
-    def _verify_lattice(self):
-        elems = self.elems
-        k = len(elems)
-        # join must be the least upper bound under inclusion
-        for i in range(k):
-            for j in range(k):
-                jm = elems[self._join[i][j]]
-                both = elems[i] | elems[j]
-                if both & ~jm:
-                    raise LatticeError(f"join not an upper bound at ({i},{j})")
-                for t in range(k):
-                    if both & ~elems[t] == 0 and jm & ~elems[t]:
-                        raise LatticeError(f"join not least at ({i},{j},{t})")
-        # distributivity, checked exhaustively over all triples
-        for i in range(k):
-            for j in range(k):
-                mij = self._meet[i][j]
-                for t in range(k):
-                    lhs = self._join[mij][t]
-                    rhs = self._meet[self._join[i][t]][self._join[j][t]]
-                    if lhs != rhs:
-                        raise LatticeError(f"distributivity fails at ({i},{j},{t})")
-
-    def _find_complements(self) -> tuple[int, ...]:
-        k = len(self.elems)
-        top = self._index[self.ground]
-        bot = self._index[0]
-        out = []
-        for i in range(k):
-            partners = [
-                j
-                for j in range(k)
-                if self._join[i][j] == top and self._meet[i][j] == bot
-            ]
-            if len(partners) != 1:
-                raise LatticeError(
-                    f"element {i} has {len(partners)} complements, wanted exactly 1"
-                )
-            out.append(partners[0])
-        return tuple(out)
-
-    # -- queries ------------------------------------------------------------
-
-    def index_of(self, mask: int) -> int:
-        return self._index[mask]
-
-    def owner_of(self, idx: int) -> int:
-        return self._owner[self.elems[idx]]
-
-    def index_of_element(self, e: int) -> int:
-        """Lattice index of N(e) for a ring element id 0..n+1."""
-        return self._element_index[e]
-
-    def join(self, i: int, j: int) -> int:
-        return self._join[i][j]
-
-    def meet(self, i: int, j: int) -> int:
-        return self._meet[i][j]
-
-    def complement(self, i: int) -> int:
-        return self._complement[i]
-
-    def size(self) -> int:
-        return len(self.elems)
+    hood: tuple[int, ...]
+    mul: tuple[tuple[int, ...], ...]
+    meet: tuple[tuple[int, ...], ...]
+    complement: tuple[int, ...]
 
 
 def build_algebra(g: Graph, s: MulTable) -> NeighborhoodAlgebra:
-    """Construct and fully verify the neighborhood lattice of a boolean
+    """Construct and fully verify the neighborhood algebra of a boolean
     realization; raises LatticeError with a witness on any axiom failure."""
-    return NeighborhoodAlgebra(g, s)
+    if s.n != g.n:
+        raise ValueError("table size must match the graph")
+    if not is_boolean(s):
+        raise ValueError("table must be idempotent")
+    if zero_divisor_graph(s).adj != g.adj:
+        raise ValueError("table does not realize the graph")
+    n = g.n
+    one = n + 1
+    elements = range(n + 2)
+    hood = ((1 << n) - 1, *g.adj, 0)
+    owner = {hood[0]: 0, hood[one]: one}
+    for v, mask in enumerate(g.adj):
+        if mask in owner:
+            raise LatticeError(f"neighborhoods collide at vertex {v}")
+        owner[mask] = v + 1
+    mul = tuple(row + (a,) for a, row in enumerate(s.prod)) + (tuple(elements),)
+
+    meet = []
+    for a in elements:
+        row = []
+        for b in elements:
+            m = owner.get(hood[a] & hood[b])
+            if m is None:
+                raise LatticeError(f"meet of N({a}) and N({b}) is no neighborhood")
+            row.append(m)
+        meet.append(tuple(row))
+
+    # the product must be the least upper bound under inclusion
+    for a in elements:
+        for b in elements:
+            join = hood[mul[a][b]]
+            both = hood[a] | hood[b]
+            if both & ~join:
+                raise LatticeError(f"join not an upper bound at ({a},{b})")
+            for c in elements:
+                if both & ~hood[c] == 0 and join & ~hood[c]:
+                    raise LatticeError(f"join not least at ({a},{b},{c})")
+    # distributivity, checked exhaustively over all triples
+    for a in elements:
+        for b in elements:
+            mab = meet[a][b]
+            for c in elements:
+                if mul[mab][c] != meet[mul[a][c]][mul[b][c]]:
+                    raise LatticeError(f"distributivity fails at ({a},{b},{c})")
+
+    complement = []
+    for a in elements:
+        partners = [b for b in elements if mul[a][b] == 0 and meet[a][b] == one]
+        if len(partners) != 1:
+            raise LatticeError(
+                f"element {a} has {len(partners)} complements, wanted exactly 1"
+            )
+        complement.append(partners[0])
+    return NeighborhoodAlgebra(hood, mul, tuple(meet), tuple(complement))
 
 
 @dataclass(frozen=True)
@@ -351,46 +290,24 @@ def ring_from_graph(g: Graph, max_n: int = DEFAULT_MAX_N) -> BooleanRing:
 def ring_from_realization(g: Graph, s: MulTable) -> BooleanRing:
     """The boolean ring of g built on an idempotent table s realizing g.
 
-    Builds the neighborhood algebra, derives addition from
-    x+y = owner((N(x) v N(y')) ^ (N(x') v N(y))) where ' is lattice
+    Builds the neighborhood algebra, whose join is the ring's product,
+    derives addition as x+y = meet(x y', x' y) where ' is the lattice
     complement, verifies every ring axiom exhaustively, and checks that the
     ring's zero-divisor graph is g on the nose.
     """
     alg = build_algebra(g, s)
+    mul, meet, comp = alg.mul, alg.meet, alg.complement
     n = g.n
-    one = n + 1
-    size = n + 2
-
-    mul = [[0] * size for _ in range(size)]
-    for a in range(n + 1):
-        for b in range(n + 1):
-            mul[a][b] = s.prod[a][b]
-    for a in range(size):
-        mul[a][one] = a
-        mul[one][a] = a
-
-    idx = [alg.index_of_element(e) for e in range(size)]
-
-    add = [[0] * size for _ in range(size)]
-    for a in range(size):
-        ia = idx[a]
-        ca = alg.complement(ia)
-        for b in range(size):
-            ib = idx[b]
-            cb = alg.complement(ib)
-            z = alg.meet(alg.join(ia, cb), alg.join(ca, ib))
-            add[a][b] = alg.owner_of(z)
+    elements = range(n + 2)
+    add = tuple(
+        tuple(meet[mul[a][comp[b]]][mul[comp[a]][b]] for b in elements)
+        for a in elements
+    )
 
     names = None
     if g.names is not None:
         names = ("0",) + tuple(g.names) + ("1",)
-    ring = BooleanRing(
-        n=n,
-        add=tuple(tuple(r) for r in add),
-        mul=tuple(tuple(r) for r in mul),
-        names=names,
-        source_table=s,
-    )
+    ring = BooleanRing(n=n, add=add, mul=mul, names=names, source_table=s)
     violations = verify_ring_axioms(ring)
     if violations:
         raise LatticeError("ring axioms failed: " + violations[0])

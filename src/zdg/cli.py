@@ -19,7 +19,6 @@ from . import graph as G
 from . import realize as RZ
 from . import semigroup as SG
 from . import theorems as TH
-from .errors import FormatError, TooLargeError
 
 
 def _read_text(path: str) -> str:
@@ -211,8 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def json_flag(p):
         p.add_argument("--json", action="store_true", help="JSON output")
+
+    def search_flags(p):
+        json_flag(p)
         p.add_argument("--max-n", type=int, default=RZ.DEFAULT_MAX_N,
                        help="size guard for searches")
 
@@ -220,18 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--boolean", action="store_true", help="idempotent tables only")
     p.add_argument("--limit", type=int, default=None, help="cap on labeled tables")
-    common(p)
+    search_flags(p)
     p.set_defaults(fn=_cmd_realize)
 
     p = sub.add_parser("oracle", help="brute-force realization (n <= 4)")
     p.add_argument("graph")
     p.add_argument("--boolean", action="store_true")
-    common(p)
+    json_flag(p)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("props", help="structural properties of a graph")
     p.add_argument("graph")
-    common(p)
+    json_flag(p)
     p.set_defaults(fn=_cmd_props)
 
     p = sub.add_parser("boolean-ring", help="reconstruct the boolean ring of a graph")
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only evaluate the four conditions")
     p.add_argument("--emit-tables", metavar="FILE", default=None,
                    help="write the ring tables to FILE")
-    common(p)
+    search_flags(p)
     p.set_defaults(fn=_cmd_boolean_ring)
 
     p = sub.add_parser("family", help="generate a named graph family")
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", metavar="GRAPH", default=None,
                    help="realize GRAPH and verify every table")
     p.add_argument("--boolean", action="store_true")
-    common(p)
+    search_flags(p)
     p.set_defaults(fn=_cmd_theorems)
 
     return parser
@@ -273,13 +275,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TooLargeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # FormatError and TooLargeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

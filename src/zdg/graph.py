@@ -61,14 +61,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> int:
-        """Neighborhood N(v) as a bitmask."""
-        return self.adj[v]
-
-    def closed(self, v: int) -> int:
-        """Closed neighborhood N(v) | {v} as a bitmask."""
-        return self.adj[v] | (1 << v)
-
     def degree(self, v: int) -> int:
         return popcount(self.adj[v])
 

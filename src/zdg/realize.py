@@ -574,9 +574,3 @@ def brute_force_realize(g: Graph, mode: str = PLAIN) -> RealizationReport:
         status=_status(iso),
         truncated=False,
     )
-
-
-def realization_exists(g: Graph, mode: str = PLAIN, max_n: int = DEFAULT_MAX_N):
-    """First realization found, or None; short-circuits the search."""
-    report = realize_all(g, mode, limit=1, max_n=max_n)
-    return report.tables[0] if report.tables else None

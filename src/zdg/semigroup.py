@@ -46,9 +46,6 @@ class MulTable:
                 if not 0 <= e <= self.n:
                     raise ValueError(f"entry {e} out of range 0..{self.n}")
 
-    def mul(self, a: int, b: int) -> int:
-        return self.prod[a][b]
-
     def elements(self) -> range:
         return range(self.n + 1)
 
@@ -98,22 +95,6 @@ def check_axioms(t: MulTable) -> list[AxiomViolation]:
                 if p[ab][c] != pa[pb[c]]:
                     out.append(AxiomViolation("associativity", (a, b, c)))
     return out
-
-
-def is_associative(t: MulTable) -> bool:
-    """Early-exit associativity check over all ordered triples."""
-    p = t.prod
-    rng = t.nonzero()
-    for a in rng:
-        pa = p[a]
-        for b in rng:
-            ab = pa[b]
-            pab = p[ab]
-            pb = p[b]
-            for c in rng:
-                if pab[c] != pa[pb[c]]:
-                    return False
-    return True
 
 
 def assoc_violation_symmetric(prod) -> tuple[int, int, int] | None:

@@ -46,27 +46,32 @@ def test_condition_witnesses_present():
     assert any("N(" in w for w in report.witnesses)
 
 
+def f2k_table(k):
+    # the product of F_2^k on its zero divisors: element id = mask, with the
+    # all-ones identity dropped
+    r = families.f2k_ring(k)
+    return table_from_rows(row[:-1] for row in r.mul[:-1])
+
+
 def test_build_algebra_k2():
     g = families.complete(2)
     s = realize_all(g, BOOLEAN).tables[0]
     alg = build_algebra(g, s)
-    assert alg.size() == 4
-    assert set(alg.elems) == {0b00, 0b01, 0b10, 0b11}
-    top = alg.index_of(alg.ground)
-    bot = alg.index_of(0)
-    for i in range(alg.size()):
-        c = alg.complement(i)
-        assert alg.join(i, c) == top and alg.meet(i, c) == bot
+    assert len(alg.hood) == 4
+    assert set(alg.hood) == {0b00, 0b01, 0b10, 0b11}
+    for a in range(4):
+        c = alg.complement[a]
+        assert alg.mul[a][c] == 0 and alg.meet[a][c] == 3
 
 
 def test_build_algebra_f2_3_is_powerset():
     g = gamma_f2(3)
     s = realize_all(g, BOOLEAN).tables[0]
     alg = build_algebra(g, s)
-    assert alg.size() == 8
+    assert len(alg.hood) == 8
     # neighborhood sizes: one-bit masks see three vertices, two-bit masks
     # see one, plus bottom and top
-    sizes = sorted(bin(m).count("1") for m in alg.elems)
+    sizes = sorted(bin(m).count("1") for m in alg.hood)
     assert sizes == [0, 1, 1, 1, 3, 3, 3, 6]
 
 
@@ -74,13 +79,42 @@ def test_build_algebra_join_law():
     g = gamma_f2(3)
     s = realize_all(g, BOOLEAN).tables[0]
     alg = build_algebra(g, s)
-    # join computed through products equals the order-theoretic lub
-    for i, a in enumerate(alg.elems):
-        for j, b in enumerate(alg.elems):
-            jm = alg.elems[alg.join(i, j)]
-            uppers = [m for m in alg.elems if (a | b) & ~m == 0]
+    # the product is the order-theoretic lub of neighborhoods
+    for a, ha in enumerate(alg.hood):
+        for b, hb in enumerate(alg.hood):
+            uppers = [m for m in alg.hood if (ha | hb) & ~m == 0]
             lub = min(uppers, key=lambda m: bin(m).count("1"))
-            assert jm == lub
+            assert alg.hood[alg.mul[a][b]] == lub
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_build_algebra_bit_vector_reference(k):
+    # with element id = mask, the join is AND, the meet is OR and the
+    # complement flips every bit
+    alg = build_algebra(gamma_f2(k), f2k_table(k))
+    full = (1 << k) - 1
+    for a in range(full + 1):
+        assert alg.complement[a] == a ^ full
+        for b in range(full + 1):
+            assert alg.mul[a][b] == a & b
+            assert alg.meet[a][b] == a | b
+
+
+@pytest.mark.parametrize(
+    "k, a, b, product, message",
+    [
+        (3, 1, 3, 3, r"join not an upper bound at \(1,3\)"),
+        (4, 7, 11, 1, r"join not least at \(7,11,2\)"),
+    ],
+    ids=["upper-bound", "least"],
+)
+def test_build_algebra_rejects_product_that_is_no_join(k, a, b, product, message):
+    # the edited product is nonzero and idempotency is untouched, so the
+    # table still realizes the graph and only the lattice checks can refuse it
+    rows = [list(row) for row in f2k_table(k).prod]
+    rows[a][b] = rows[b][a] = product
+    with pytest.raises(LatticeError, match=message):
+        build_algebra(gamma_f2(k), table_from_rows(rows))
 
 
 def test_build_algebra_rejects_wrong_table():

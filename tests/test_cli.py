@@ -53,10 +53,16 @@ def test_realize_none_is_success(tmp_path, capsys):
     assert json.loads(out)["status"] == "none"
 
 
-@pytest.mark.parametrize("flag", [["--threads", "2"], ["--oracle"]])
+@pytest.mark.parametrize("flag", [
+    ["realize", "--threads", "2"],
+    ["realize", "--oracle"],
+    ["props", "--max-n", "5"],
+    ["oracle", "--max-n", "5"],
+])
 def test_realize_removed_flags_exit_2(base_graph_file, flag):
+    command, *rest = flag
     with pytest.raises(SystemExit) as exc:
-        main(["realize", base_graph_file, *flag])
+        main([command, base_graph_file, *rest])
     assert exc.value.code == 2
 
 

@@ -83,7 +83,7 @@ def test_closed_neighborhood_covering(corpus_tables):
                     continue
                 union = g.adj[x] | g.adj[y]
                 assert any(
-                    union & ~g.closed(z) == 0 for z in range(g.n)
+                    union & ~(g.adj[z] | 1 << z) == 0 for z in range(g.n)
                 ), (g.edges(), x, y)
 
 

@@ -23,7 +23,6 @@ from zdg.realize import (
     init_state,
     iso_class_count,
     propagate,
-    realization_exists,
     realize_all,
 )
 from zdg.semigroup import check_axioms, table_from_rows, zero_divisor_graph
@@ -403,11 +402,6 @@ def test_oracle_pendant_triangle_contains_fixture(fixture_tables):
     t5 = fixture_tables[5]
     rep = brute_force_realize(zero_divisor_graph(t5))
     assert any(t.prod == t5.prod for t in rep.tables)
-
-
-def test_realization_exists_shortcut():
-    assert realization_exists(families.complete(3), BOOLEAN) is not None
-    assert realization_exists(families.two_star(1, 1), BOOLEAN) is None
 
 
 def test_fig1_labeled_unique_for_all_small_pendant_counts():

@@ -12,7 +12,6 @@ from zdg.semigroup import (
     check_axioms,
     closure_witness,
     equivalence_class,
-    is_associative,
     is_boolean,
     is_ideal,
     is_reduced,
@@ -144,7 +143,7 @@ def test_realized_graphs_connected_small_diameter(fixture_tables):
 def test_fast_associativity_matches_report(t):
     fast = assoc_violation_symmetric(t.prod) is None
     slow = not any(v.kind == "associativity" for v in check_axioms(t))
-    assert fast == slow == is_associative(t)
+    assert fast == slow
 
 
 @given(symmetric_tables(max_n=3))
