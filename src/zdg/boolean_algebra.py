@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import TooLargeError, _LineReader
+from .errors import _MAX_COUNT, TooLargeError, _LineReader
 from .graph import Graph, is_connected, is_uniquely_determined
 from .graph import is_uniquely_complemented, neighborhood_meet_closed
 from .realize import BOOLEAN, DEFAULT_MAX_N, realize_all
@@ -416,7 +416,8 @@ def parse_ring(text: str) -> BooleanRing:
     parts = reader.next()
     if parts is None or parts[0] != "n" or len(parts) != 2:
         raise reader.error("missing element count")
-    size = reader.number(parts[1], "bad element count", lo=2)
+    size = reader.number(parts[1], "bad element count",
+                         f"element count {parts[1]} not in 2..{_MAX_COUNT}", lo=2)
     names = [f"e{i}" for i in range(size)]
     parts = reader.next()
     while parts is not None and parts[0] == "name":

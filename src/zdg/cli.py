@@ -10,8 +10,9 @@ conditions), 2 for usage or file errors.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import boolean_algebra as BA
 from . import families
@@ -44,8 +45,52 @@ def _load_table(path: str) -> SG.MulTable:
     return SG.parse_table(_read_text(path))
 
 
+def _scalar(v) -> str | None:
+    """The JSON text of a str, int, bool or None; None for anything else."""
+    if type(v) is str:
+        return _quote(v)
+    if type(v) is int:
+        return str(v)
+    if v is None:
+        return "null"
+    if type(v) is bool:
+        return "true" if v else "false"
+    return None
+
+
+def _dumps(o, pad: str = "") -> str:
+    """Exactly ``json.dumps(o, indent=2)`` for what the payloads hold: dicts
+    with str keys, lists, str, int, bool and None; anything else raises
+    TypeError.  The standard encoder falls back to its pure-Python version
+    whenever it indents, and that was most of the command line's own cost."""
+    text = _scalar(o)
+    if text is not None:
+        return text
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(o) is list:
+        if not o:
+            return "[]"
+        if all(type(v) is int for v in o):
+            body = sep.join(map(str, o))
+        else:
+            body = sep.join(_dumps(v, inner) for v in o)
+        return f"[\n{inner}{body}\n{pad}]"
+    if type(o) is dict:
+        if not o:
+            return "{}"
+        items = []
+        for k, v in o.items():
+            if type(k) is not str:
+                raise TypeError(f"JSON key {k!r} is not a str")
+            text = _scalar(v)
+            items.append(f"{_quote(k)}: {_dumps(v, inner) if text is None else text}")
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    raise TypeError(f"cannot write {type(o).__name__} as JSON")
+
+
 def _emit_json(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=False))
+    print(_dumps(payload))
 
 
 def _render_report(report: RZ.RealizationReport, names) -> str:
@@ -203,7 +248,10 @@ def _cmd_theorems(args) -> int:
     return 1 if counter else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every
+    call of ``main``; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="zdg",
         description="zero-divisor graphs of finite commutative semigroups",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, TooLargeError, _LineReader
+from .errors import _MAX_COUNT, FormatError, TooLargeError, _LineReader
 
 ISO_MAX_N = 12
 
@@ -347,7 +347,8 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None or len(parts) != 2:
                 raise reader.error("bad vertex count line")
-            n = reader.number(parts[1], "bad vertex count line")
+            n = reader.number(parts[1], "bad vertex count line",
+                              f"vertex count {parts[1]} over the limit of {_MAX_COUNT}")
         elif parts[0] == "v":
             if n is None or len(parts) != 3:
                 raise reader.error("bad name line")
@@ -374,6 +375,10 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
+    """The graph as a file that parse_graph reads back; raises ValueError
+    when it has more vertices than the format allows."""
+    if g.n > _MAX_COUNT:
+        raise ValueError(f"graph has {g.n} vertices, over the file limit of {_MAX_COUNT}")
     lines = ["zdg-graph 1", f"n {g.n}"]
     if g.names is not None:
         lines.extend(f"v {i} {name}" for i, name in enumerate(g.names))

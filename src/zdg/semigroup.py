@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FormatError, _LineReader
+from .errors import _MAX_COUNT, FormatError, _LineReader
 from .graph import Graph
 
 ElementSubset = frozenset[int]
@@ -244,7 +244,8 @@ def parse_table(text: str) -> MulTable:
         raise FormatError("missing element count line")
     if parts[0] != "n" or len(parts) != 2:
         raise reader.error("bad element count line")
-    n = reader.number(parts[1], "bad element count line")
+    n = reader.number(parts[1], "bad element count line",
+                      f"element count {parts[1]} over the limit of {_MAX_COUNT}")
     prod = reader.triangle(1, n)
     if reader.next() is not None:
         raise reader.error("extra rows after table")

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from zdg import families
+from zdg import cli, families
 from zdg.cli import main
 from zdg.graph import format_graph
 
@@ -30,6 +32,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def loads(out):
+    """The payload of a --json output, which must be laid out exactly as
+    json.dumps(indent=2) lays it out."""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
 def test_realize_text_renders_reference_table(base_graph_file, capsys):
     code, out, _ = run(capsys, "realize", base_graph_file)
     assert code == 0
@@ -40,7 +50,7 @@ def test_realize_text_renders_reference_table(base_graph_file, capsys):
 def test_realize_json_schema(base_graph_file, capsys):
     code, out, _ = run(capsys, "realize", base_graph_file, "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     jsonschema.validate(payload, _schema("realize"))
     assert payload["status"] == "unique"
 
@@ -50,7 +60,7 @@ def test_realize_none_is_success(tmp_path, capsys):
     path.write_text(format_graph(families.m_nk(4, 3)))
     code, out, _ = run(capsys, "realize", str(path), "--json")
     assert code == 0
-    assert json.loads(out)["status"] == "none"
+    assert loads(out)["status"] == "none"
 
 
 @pytest.mark.parametrize("flag", [
@@ -72,13 +82,13 @@ def test_oracle_agrees_with_realize(tmp_path, capsys):
     _, a, _ = run(capsys, "realize", str(path), "--json")
     _, b, _ = run(capsys, "oracle", str(path), "--json")
     assert a == b
-    jsonschema.validate(json.loads(b), _schema("realize"))
+    jsonschema.validate(loads(b), _schema("realize"))
 
 
 def test_props_json_schema(base_graph_file, capsys):
     code, out, _ = run(capsys, "props", base_graph_file, "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     jsonschema.validate(payload, _schema("props"))
     assert payload["diameter"] == 2
 
@@ -88,7 +98,7 @@ def test_boolean_ring_check_only(tmp_path, capsys):
     path.write_text(format_graph(families.two_star(1, 1)))
     code, out, _ = run(capsys, "boolean-ring", str(path), "--check-only", "--json")
     assert code == 1
-    jsonschema.validate(json.loads(out), _schema("conditions"))
+    jsonschema.validate(loads(out), _schema("conditions"))
 
 
 def test_boolean_ring_emits_ring(tmp_path, capsys):
@@ -99,7 +109,7 @@ def test_boolean_ring_emits_ring(tmp_path, capsys):
         capsys, "boolean-ring", str(path), "--emit-tables", str(ring_file), "--json"
     )
     assert code == 0
-    jsonschema.validate(json.loads(out), _schema("boolean_ring"))
+    jsonschema.validate(loads(out), _schema("boolean_ring"))
     assert ring_file.read_text().startswith("zdg-ring 1")
 
 
@@ -112,7 +122,7 @@ def test_boolean_ring_searches_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "k2.zdg-graph"
     path.write_text(format_graph(families.complete(2)))
     code, out, _ = run(capsys, "boolean-ring", str(path), "--json")
-    assert code == 0 and json.loads(out)["elements"] == 4
+    assert code == 0 and loads(out)["elements"] == 4
     assert len(calls) == 1
 
 
@@ -122,7 +132,7 @@ def test_family_fixture_pipeline(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "realize", str(out_file), "--json")
     assert code == 0
-    assert json.loads(out)["labeled_count"] > 0
+    assert loads(out)["labeled_count"] > 0
 
     code, out, _ = run(capsys, "fixture", "5")
     assert code == 0
@@ -141,13 +151,19 @@ def test_theorems_table_and_sweep(tmp_path, base_graph_file, capsys):
     run(capsys, "fixture", "5", "-o", str(table_file))
     code, out, _ = run(capsys, "theorems", str(table_file), "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     jsonschema.validate(payload, _schema("theorems"))
     assert payload["counterexamples"] == 0
 
     code, out, _ = run(capsys, "theorems", "--sweep", base_graph_file)
     assert code == 0
     assert "counterexamples: 0" in out
+
+    code, out, _ = run(capsys, "theorems", "--sweep", base_graph_file, "--json")
+    assert code == 0
+    payload = loads(out)
+    jsonschema.validate(payload, _schema("theorems"))
+    assert payload["counterexamples"] == 0 and payload["verdicts"]
 
 
 def test_theorems_rejects_invalid_table(tmp_path, capsys):
@@ -182,7 +198,7 @@ def test_size_guard_exit_2(tmp_path, capsys):
     assert code == 2 and "capped" in err
     code, out, _ = run(capsys, "realize", str(path), "--max-n", "13", "--json")
     assert code == 0
-    assert json.loads(out)["status"] == "none"
+    assert loads(out)["status"] == "none"
 
 
 def test_theorems_requires_input(tmp_path, base_graph_file, capsys):
@@ -195,3 +211,66 @@ def test_theorems_requires_input(tmp_path, base_graph_file, capsys):
     for table in (str(table_file), str(tmp_path / "missing.zdg-table")):
         code, out, err = run(capsys, "theorems", table, "--sweep", base_graph_file)
         assert code == 2 and out == "" and "exactly one" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600"]),
+    # a list of ints and bools keeps the int-only fast path from taking bools
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers() | st.booleans(), max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_dumps_matches_json_indent_2(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {"a": [0, 1.0]}, [None, (0,)], {1: 2}, {"a": {"b": set()}},
+])
+def test_dumps_refuses_what_no_payload_holds(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def test_requests_in_one_process_do_not_leak(tmp_path, capsys):
+    # the parser is built once per process, so nothing one request sets may
+    # reach the next
+    from zdg.realize import PLAIN, realize_all
+
+    path = tmp_path / "k3.zdg-graph"
+    path.write_text(format_graph(families.complete(3)))
+    code, out, _ = run(capsys, "realize", str(path), "--limit", "1", "--json")
+    assert code == 0 and loads(out)["truncated"] is True
+    code, out, _ = run(capsys, "realize", str(path), "--json")
+    full = loads(out)
+    assert code == 0 and full["truncated"] is False
+    assert full["labeled_count"] == realize_all(families.complete(3), PLAIN).labeled_count > 1
+
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", str(path), "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "props", str(path), "--json")
+    assert code == 0 and loads(out)["n"] == 3
+
+    table_file = tmp_path / "t5.zdg-table"
+    run(capsys, "fixture", "5", "-o", str(table_file))
+    code, out, _ = run(capsys, "theorems", "--sweep", str(path))
+    assert code == 0 and "counterexamples: 0" in out
+    code, out, _ = run(capsys, "theorems", str(table_file), "--json")
+    assert code == 0 and loads(out)["counterexamples"] == 0
+    # neither the table nor --sweep of the requests before is remembered
+    code, _, err = run(capsys, "theorems")
+    assert code == 2 and "exactly one" in err
+
+
+def test_family_refuses_a_graph_its_reader_refuses(tmp_path, capsys):
+    out_file = tmp_path / "big.zdg-graph"
+    code, _, err = run(capsys, "family", "complete-multipartite", "65537", "-o", str(out_file))
+    assert code == 2 and "65536" in err
+    assert not out_file.exists()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from zdg import families
 from zdg.boolean_algebra import BooleanRing, format_ring, parse_ring, ring_from_graph
 from zdg.errors import FormatError
-from zdg.graph import format_graph, from_edge_list, parse_graph
+from zdg.graph import Graph, format_graph, from_edge_list, parse_graph
 from zdg.semigroup import format_table, parse_table, render_table, table_from_rows
 
 GOLDEN_GRAPH = """zdg-graph 1
@@ -178,6 +178,22 @@ mul
 def test_malformed_input_raises_format_error(parse, text):
     with pytest.raises(FormatError):
         parse(text)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_graph, "zdg-graph 1\nn 65537\n"),
+    (parse_table, "zdg-table 1\nn 65537\n"),
+    (parse_ring, "zdg-ring 1\nn 65537\n"),
+])
+def test_count_over_the_limit_names_the_limit(parse, text):
+    with pytest.raises(FormatError, match="65536"):
+        parse(text)
+
+
+def test_graph_writer_refuses_what_the_reader_refuses():
+    assert parse_graph(format_graph(Graph(65536, (0,) * 65536))).n == 65536
+    with pytest.raises(ValueError, match="65536"):
+        format_graph(Graph(65537, (0,) * 65537))
 
 
 def test_ring_truncated_file_reports_a_real_line():

@@ -110,6 +110,22 @@ def test_thm_2_9_not_applicable_without_pendants(fixture_tables):
     assert not v.hypotheses_met
 
 
+def test_thm_2_9_refuses_pendant_products_that_leave_t_s():
+    # edges 1-2, 1-3, 1-4, 2-3, 2-5: T_1 = {4}, T_2 = {5}, both hubs square
+    # to zero and 1S = {0, 1}, 2S = {0, 2}, but 4*4 = 1 leaves T_1 | {0}
+    # (not associative: the claim is about semigroups, the verifier needs
+    # only the graph).  Without the closure check the nilpotency loop would
+    # still refuse, with another witness.
+    rows = [[0] * 6 for _ in range(6)]
+    for (a, b), p in {(1, 5): 1, (2, 4): 2, (3, 4): 3, (3, 5): 3,
+                      (4, 4): 1, (4, 5): 3, (5, 5): 5}.items():
+        rows[a][b] = rows[b][a] = p
+    f = theorems.table_facts(table_from_rows(rows))
+    assert f.graph.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)]
+    v = theorems.verify_thm_2_9(f, 1, 2)
+    assert v.is_counterexample and v.witness == "4*4=1 leaves T_s | {0}"
+
+
 def test_prop_2_10_on_boolean_star():
     # star: center is the unique maximal-degree vertex and is idempotent
     t = families.boolean_rpartite_table([1, 3])
@@ -139,6 +155,14 @@ def test_prop_3_6_consistency(fixture_tables):
     t = families.boolean_rpartite_table([1, 1, 1])
     v = theorems.verify_prop_3_6(theorems.table_facts(t))
     assert v.hypotheses_met and v.conclusion_holds
+
+
+def test_prop_3_6_refuses_a_reduced_table_that_is_not_idempotent():
+    # K2 with 1*1 = 2, 2*2 = 1: reduced (no nilpotents) and uniquely
+    # determined, but not idempotent
+    t = table_from_rows([[0, 0, 0], [0, 2, 0], [0, 0, 1]])
+    v = theorems.verify_prop_3_6(theorems.table_facts(t))
+    assert v.is_counterexample and v.witness == "1*1 = 2 != 1"
 
 
 def test_all_verdicts_cover_every_verifier(fixture_tables):
