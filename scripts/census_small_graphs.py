@@ -5,19 +5,8 @@ isomorphism class."""
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from zdg.graph import automorphisms, from_edge_list, is_connected, is_isomorphic
+from zdg.graph import automorphisms, connected_graphs, is_isomorphic
 from zdg.realize import brute_force_realize, realize_all
-
-
-def connected_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        g = from_edge_list(n, edges)
-        if is_connected(g):
-            yield g
 
 
 def iso_representatives(graphs):
@@ -32,7 +21,7 @@ def main():
     print(f"{'n':>2} {'edges':<22} {'plain':>12} {'boolean':>12} {'|Aut|':>6}")
     total = 0
     for n in range(1, 5):
-        for g in iso_representatives(list(connected_graphs(n))):
+        for g in iso_representatives(connected_graphs(n)):
             plain = realize_all(g)
             boolean = realize_all(g, "boolean")
             assert plain.to_dict() == brute_force_realize(g).to_dict()

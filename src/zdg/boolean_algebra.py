@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import _MAX_COUNT, TooLargeError, _LineReader
-from .graph import Graph, is_connected, is_uniquely_determined
+from .graph import Graph, is_connected, is_uniquely_determined, isomorphisms
 from .graph import is_uniquely_complemented, neighborhood_meet_closed
 from .realize import BOOLEAN, DEFAULT_MAX_N, realize_all
 from .semigroup import MulTable, is_boolean, zero_divisor_graph
@@ -188,7 +188,6 @@ class BooleanRing:
     add: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = None
-    source_table: MulTable | None = field(default=None, compare=False)
 
     @property
     def one(self) -> int:
@@ -307,7 +306,7 @@ def ring_from_realization(g: Graph, s: MulTable) -> BooleanRing:
     names = None
     if g.names is not None:
         names = ("0",) + tuple(g.names) + ("1",)
-    ring = BooleanRing(n=n, add=add, mul=mul, names=names, source_table=s)
+    ring = BooleanRing(n=n, add=add, mul=mul, names=names)
     violations = verify_ring_axioms(ring)
     if violations:
         raise LatticeError("ring axioms failed: " + violations[0])
@@ -319,79 +318,26 @@ def ring_from_realization(g: Graph, s: MulTable) -> BooleanRing:
 def ring_isomorphic(r1: BooleanRing, r2: BooleanRing, max_size: int = 16):
     """A bijection preserving +, *, 0 and 1, as a tuple image list, or None.
 
-    Backtracking over images with annihilator-size pruning and forced
-    closure: once two preimages are mapped, the images of their sum and
-    product are forced, so the tree collapses quickly.
+    A ring isomorphism maps zero divisors to zero divisors, so it is an
+    isomorphism of the zero-divisor graphs extended by 0 -> 0 and 1 -> 1;
+    each graph isomorphism is extended so and tested on every pair.  The
+    search is complete for boolean rings only: there every element other
+    than 0 and 1 is a vertex, element e being vertex e-1.
     """
     if r1.size != r2.size:
         return None
     if r1.size > max_size:
         raise TooLargeError(f"ring isomorphism search capped at {max_size} elements")
-    size = r1.size
-
-    def sig(r: BooleanRing, x: int) -> tuple[int, int]:
-        ann = sum(1 for y in range(size) if r.mul[x][y] == 0)
-        return (ann, 1 if r.mul[x][x] == x else 0)
-
-    sig1 = [sig(r1, x) for x in range(size)]
-    sig2 = [sig(r2, x) for x in range(size)]
-    if sorted(sig1) != sorted(sig2):
-        return None
-
-    image: list[int | None] = [None] * size
-    used = [False] * size
-
-    def place(x: int, y: int, pending: list[tuple[int, int]]) -> bool:
-        if image[x] is not None:
-            return image[x] == y
-        if used[y] or sig1[x] != sig2[y]:
-            return False
-        image[x] = y
-        used[y] = True
-        pending.append((x, y))
-        return True
-
-    def close(pending: list[tuple[int, int]]) -> bool:
-        # force images of sums and products of mapped pairs
-        i = 0
-        while i < len(pending):
-            x, _ = pending[i]
-            i += 1
-            for a in range(size):
-                if image[a] is None:
-                    continue
-                for s_, t_ in ((r1.add[x][a], r2.add[image[x]][image[a]]),
-                               (r1.mul[x][a], r2.mul[image[x]][image[a]])):
-                    if image[s_] is not None:
-                        if image[s_] != t_:
-                            return False
-                    elif not place(s_, t_, pending):
-                        return False
-        return True
-
-    def undo(pending: list[tuple[int, int]]):
-        for x, y in pending:
-            image[x] = None
-            used[y] = False
-
-    def extend() -> bool:
-        x = next((i for i in range(size) if image[i] is None), None)
-        if x is None:
-            return True
-        for y in range(size):
-            if used[y] or sig1[x] != sig2[y]:
-                continue
-            pending: list[tuple[int, int]] = []
-            if place(x, y, pending) and close(pending) and extend():
-                return True
-            undo(pending)
-        return False
-
-    pending0: list[tuple[int, int]] = []
-    if not (place(0, 0, pending0) and place(r1.one, r2.one, pending0) and close(pending0)):
-        return None
-    if extend():
-        return tuple(image)  # type: ignore[arg-type]
+    g1, g2 = ring_zero_divisor_graph(r1), ring_zero_divisor_graph(r2)
+    pairs = [(a, b) for a in range(r1.size) for b in range(r1.size)]
+    for p in isomorphisms(g1, g2, max_n=max_size):
+        image = (0, *(w + 1 for w in p), r2.one)
+        if len(image) == r1.size and all(
+            image[r1.add[a][b]] == r2.add[image[a]][image[b]]
+            and image[r1.mul[a][b]] == r2.mul[image[a]][image[b]]
+            for a, b in pairs
+        ):
+            return image
     return None
 
 

@@ -16,6 +16,7 @@ Text format (read/write, bit exact on writer output)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import _MAX_COUNT, FormatError, TooLargeError, _LineReader
 
@@ -45,16 +46,21 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
-        full = (1 << self.n) - 1
         for v, mask in enumerate(self.adj):
-            if mask & ~full:
+            if mask >> self.n:
                 raise ValueError(f"vertex {v}: neighbor out of range")
             if (mask >> v) & 1:
                 raise ValueError(f"vertex {v}: self-loop")
-        for u in range(self.n):
-            for v in bits(self.adj[u]):
-                if not (self.adj[v] >> u) & 1:
+        # masks as bit strings, lowest bit first: walking a mask with bits()
+        # or shifting it copies the whole int per step, which is quadratic
+        # in a hub's degree
+        low_first = [bin(mask)[:1:-1] for mask in self.adj]
+        for u, row in enumerate(low_first):
+            v = row.find("1")
+            while v >= 0:
+                if low_first[v][u:u + 1] != "1":
                     raise ValueError(f"adjacency not symmetric at {u}-{v}")
+                v = row.find("1", v + 1)
         if self.names is not None and len(self.names) != self.n:
             raise ValueError("names length must equal vertex count")
 
@@ -252,65 +258,61 @@ def _signatures(g: Graph) -> list[tuple]:
     ]
 
 
-def automorphisms(g: Graph, max_n: int = ISO_MAX_N) -> list[tuple[int, ...]]:
-    """The full automorphism group as explicit vertex permutations.
+def isomorphisms(g: Graph, h: Graph, max_n: int = ISO_MAX_N):
+    """Yield every adjacency-preserving vertex bijection g -> h, as the tuple
+    of images, in lexicographic order.
 
     Backtracking over images with degree-signature and adjacency pruning;
     refuses graphs larger than max_n.
     """
-    if g.n > max_n:
-        raise TooLargeError(f"automorphism search capped at {max_n} vertices")
-    sig = _signatures(g)
-    out: list[tuple[int, ...]] = []
-    image = [0] * g.n
-
-    def extend(v: int, used: int):
-        if v == g.n:
-            out.append(tuple(image))
-            return
-        for w in range(g.n):
-            if (used >> w) & 1 or sig[v] != sig[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if g.has_edge(u, v) != g.has_edge(image[u], w):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                extend(v + 1, used | (1 << w))
-
-    extend(0, 0)
-    return out
-
-
-def is_isomorphic(g: Graph, h: Graph, max_n: int = ISO_MAX_N) -> tuple[int, ...] | None:
-    """A vertex bijection g -> h preserving adjacency, or None."""
     if g.n != h.n or g.edge_count() != h.edge_count():
-        return None
+        return
     if g.n > max_n:
         raise TooLargeError(f"isomorphism search capped at {max_n} vertices")
     sg, sh = _signatures(g), _signatures(h)
     if sorted(sg) != sorted(sh):
-        return None
-    image = [0] * g.n
-    found: list[tuple[int, ...]] = []
+        return
+    n, hadj = g.n, h.adj
+    candidates = [[w for w in range(n) if sh[w] == sg[v]] for v in range(n)]
+    image = [0] * n
 
-    def extend(v: int, used: int) -> bool:
-        if v == g.n:
-            found.append(tuple(image))
-            return True
-        for w in range(g.n):
-            if (used >> w) & 1 or sg[v] != sh[w]:
-                continue
-            if any(g.has_edge(u, v) != h.has_edge(image[u], w) for u in range(v)):
-                continue
-            image[v] = w
-            if extend(v + 1, used | (1 << w)):
-                return True
-        return False
+    def extend(v: int, used: int):
+        if v == n:
+            yield tuple(image)
+            return
+        # w may be v's image iff its neighbours among the images placed so
+        # far are exactly the images of v's neighbours below v
+        want = 0
+        for u in bits(g.adj[v] & ((1 << v) - 1)):
+            want |= 1 << image[u]
+        for w in candidates[v]:
+            if not (used >> w) & 1 and hadj[w] & used == want:
+                image[v] = w
+                yield from extend(v + 1, used | 1 << w)
 
-    return found[0] if extend(0, 0) else None
+    yield from extend(0, 0)
+
+
+def automorphisms(g: Graph, max_n: int = ISO_MAX_N) -> list[tuple[int, ...]]:
+    """The full automorphism group as explicit vertex permutations, in
+    lexicographic order; refuses graphs larger than max_n."""
+    return list(isomorphisms(g, g, max_n))
+
+
+def is_isomorphic(g: Graph, h: Graph, max_n: int = ISO_MAX_N) -> tuple[int, ...] | None:
+    """The least vertex bijection g -> h preserving adjacency, or None."""
+    return next(isomorphisms(g, h, max_n), None)
+
+
+def connected_graphs(n: int) -> list[Graph]:
+    """Every labeled connected graph on n vertices, ordered by edge mask: bit
+    i of the mask is the i-th pair (u, v), u < v, in lexicographic order."""
+    pairs = list(combinations(range(n), 2))
+    graphs = (
+        from_edge_list(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+        for mask in range(1 << len(pairs))
+    )
+    return [g for g in graphs if is_connected(g)]
 
 
 @dataclass(frozen=True)

@@ -7,28 +7,16 @@ predicates via frozenset scans.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import settings
 
 from zdg import families
-from zdg.graph import Graph, bits, from_edge_list
+from zdg.graph import Graph, bits, connected_graphs
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
-
-
-def all_connected_graphs(n: int) -> list[Graph]:
-    """Every labeled connected graph on exactly n vertices."""
-    pairs = list(combinations(range(n), 2))
-    out = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        g = from_edge_list(n, edges)
-        if oracle_connected(g):
-            out.append(g)
-    return out
 
 
 def oracle_distances(g: Graph) -> list[list[float]]:
@@ -91,4 +79,4 @@ def fixture_tables():
 
 @pytest.fixture(scope="session")
 def connected_upto_4():
-    return [g for n in range(1, 5) for g in all_connected_graphs(n)]
+    return [g for n in range(1, 5) for g in connected_graphs(n)]

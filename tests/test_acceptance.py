@@ -9,7 +9,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 
-from conftest import all_connected_graphs
 from zdg import families, theorems
 from zdg.boolean_algebra import (
     check_boolean_graph_conditions,
@@ -18,7 +17,7 @@ from zdg.boolean_algebra import (
     ring_zero_divisor_graph,
     verify_ring_axioms,
 )
-from zdg.graph import from_edge_list
+from zdg.graph import connected_graphs, from_edge_list
 from zdg.realize import BOOLEAN, PLAIN, brute_force_realize, realize_all
 from zdg.semigroup import (
     check_axioms,
@@ -107,7 +106,7 @@ def test_criterion_07_oracle_equivalence(connected_upto_4):
 def _sweep_corpus():
     """The falsification corpus: every connected graph on up to 4 vertices
     plus the named family instances with up to 6 vertices."""
-    graphs = [g for n in range(1, 5) for g in all_connected_graphs(n)]
+    graphs = [g for n in range(1, 5) for g in connected_graphs(n)]
     graphs += [
         families.fig1(0, 0),
         families.fig1(0, 1),

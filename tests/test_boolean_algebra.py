@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from zdg import families
 from zdg.boolean_algebra import (
     BooleanGraphError,
+    BooleanRing,
     LatticeError,
     build_algebra,
     check_boolean_graph_conditions,
@@ -13,6 +16,7 @@ from zdg.boolean_algebra import (
     ring_zero_divisor_graph,
     verify_ring_axioms,
 )
+from zdg.graph import from_edge_list
 from zdg.realize import BOOLEAN, realize_all
 from zdg.semigroup import table_from_rows, zero_divisor_graph
 
@@ -181,6 +185,31 @@ def test_ring_isomorphism_is_a_homomorphism():
         for b in range(ring.size):
             assert iso[ring.add[a][b]] == target.add[iso[a]] [iso[b]]
             assert iso[ring.mul[a][b]] == target.mul[iso[a]] [iso[b]]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_ring_isomorphic_finds_a_relabeled_ring(k):
+    g = gamma_f2(k)
+    p = list(range(g.n))
+    random.Random(k).shuffle(p)
+    ring = ring_from_graph(from_edge_list(g.n, [(p[u], p[v]) for u, v in g.edges()]),
+                           max_n=14)
+    target = families.f2k_ring(k)
+    iso = ring_isomorphic(ring, target)
+    assert sorted(iso) == list(range(ring.size))
+    for a in range(ring.size):
+        for b in range(ring.size):
+            assert iso[ring.add[a][b]] == target.add[iso[a]][iso[b]]
+            assert iso[ring.mul[a][b]] == target.mul[iso[a]][iso[b]]
+
+
+def test_ring_isomorphic_refuses_an_edited_addition():
+    # the zero-divisor graphs are equal, so only the + check can refuse
+    r = families.f2k_ring(3)
+    row = list(r.add[1])
+    row[2], row[3] = row[3], row[2]
+    edited = BooleanRing(r.n, r.add[:1] + (tuple(row),) + r.add[2:], r.mul)
+    assert ring_isomorphic(r, edited) is None
 
 
 def test_uniquely_determined_iff_absorption_for_boolean_corpus():

@@ -15,6 +15,7 @@ from zdg.errors import TooLargeError
 from zdg.graph import (
     Graph,
     automorphisms,
+    connected_graphs,
     core,
     diameter,
     end_vertices,
@@ -176,6 +177,40 @@ def test_isomorphism_witness():
     assert m is not None and all(
         BASE.has_edge(m[u], m[v]) for u, v in BASE.edges()
     )
+
+
+def test_isomorphism_needs_the_adjacency_test():
+    # C6 and two disjoint triangles: both 2-regular, so the degree
+    # signatures agree and only adjacency tells them apart
+    c6 = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert is_isomorphic(c6, triangles) is None
+    assert is_isomorphic(triangles, c6) is None
+
+
+@given(st.data())
+def test_isomorphism_found_for_any_relabeling(data):
+    g = data.draw(graphs())
+    p = data.draw(st.permutations(range(g.n)))
+    h = from_edge_list(g.n, [(p[u], p[v]) for u, v in g.edges()])
+    m = is_isomorphic(g, h)
+    assert m is not None and sorted(m) == list(range(g.n))
+    assert all(g.has_edge(u, v) == h.has_edge(m[u], m[v])
+               for u in range(g.n) for v in range(g.n))
+
+
+def test_connected_graph_census():
+    labeled, classes = [], []
+    for n in range(1, 6):
+        graphs = connected_graphs(n)
+        reps = []
+        for g in graphs:
+            if not any(is_isomorphic(g, h) for h in reps):
+                reps.append(g)
+        labeled.append(len(graphs))
+        classes.append(len(reps))
+    assert labeled == [1, 1, 4, 38, 728]
+    assert classes == [1, 1, 2, 6, 21]
 
 
 def test_graph_props_bundle():

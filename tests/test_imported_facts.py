@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import all_connected_graphs
 from zdg import families
 from zdg.boolean_algebra import (
     check_boolean_graph_conditions,
@@ -23,6 +22,7 @@ from zdg.boolean_algebra import (
 from zdg.graph import (
     Graph,
     bits,
+    connected_graphs,
     core,
     diameter,
     end_vertices,
@@ -38,7 +38,7 @@ from zdg.semigroup import is_boolean, is_reduced, zero_divisor_graph
 def corpus_tables(fixture_tables):
     tables = list(fixture_tables.values())
     for n in range(1, 5):
-        for g in all_connected_graphs(n):
+        for g in connected_graphs(n):
             for mode in (PLAIN, BOOLEAN):
                 tables.extend(realize_all(g, mode).tables)
     tables.extend(realize_all(families.fig4(1, 1, 1)).tables)
@@ -98,7 +98,7 @@ def test_reduced_uniquely_determined_implies_idempotent(corpus_tables):
 
 def test_ring_round_trip_for_every_qualifying_small_graph():
     hits = 0
-    for g in all_connected_graphs(4) + all_connected_graphs(3) + all_connected_graphs(2):
+    for g in connected_graphs(4) + connected_graphs(3) + connected_graphs(2):
         if not check_boolean_graph_conditions(g).all_hold:
             continue
         hits += 1

@@ -7,10 +7,9 @@ from itertools import combinations
 import pytest
 
 import zdg.realize
-from conftest import all_connected_graphs
 from zdg import families
 from zdg.errors import TooLargeError
-from zdg.graph import from_edge_list, is_isomorphic
+from zdg.graph import connected_graphs, from_edge_list, is_isomorphic
 from zdg.realize import (
     BOOLEAN,
     PLAIN,
@@ -316,7 +315,7 @@ def connected_classes_upto_5():
     """One connected graph per isomorphism class on 1..5 vertices."""
     reps = []
     for n in range(1, 6):
-        for g in all_connected_graphs(n):
+        for g in connected_graphs(n):
             if not any(h.n == n and is_isomorphic(g, h) for h in reps):
                 reps.append(g)
     return reps
@@ -385,7 +384,7 @@ def test_size_guard_and_preconditions():
 
 
 def test_oracle_equivalence_n3():
-    for g in all_connected_graphs(3):
+    for g in connected_graphs(3):
         for mode in (PLAIN, BOOLEAN):
             assert realize_all(g, mode).to_dict() == brute_force_realize(g, mode).to_dict()
 

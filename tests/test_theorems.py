@@ -133,6 +133,36 @@ def test_prop_2_10_on_boolean_star():
     assert v.hypotheses_met and v.conclusion_holds
 
 
+def _path_p4_table(products):
+    """A table on the path 1-2-3-4 with the given products; every product
+    not listed is 0.  Not associative: the claims are about semigroups, the
+    verifiers need only the graph."""
+    rows = [[0] * 5 for _ in range(5)]
+    for (a, b), p in products.items():
+        rows[a][b] = rows[b][a] = p
+    f = theorems.table_facts(table_from_rows(rows))
+    assert f.graph.edges() == [(0, 1), (1, 2), (2, 3)]
+    return f
+
+
+def test_prop_2_10_refuses_an_idempotent_hub_with_a_third_product():
+    # m = 2; the degree-2 vertices 2 and 3 have distinct neighborhoods, and
+    # 2 is the idempotent one (3*3 = 1), but 2*4 = 3
+    f = _path_p4_table({(1, 1): 1, (2, 2): 2, (3, 3): 1, (4, 4): 4,
+                        (1, 3): 1, (1, 4): 1, (2, 4): 3})
+    v = theorems.verify_prop_2_10(f)
+    assert v.is_counterexample and v.witness == "2*4 = 3 outside {0, s}"
+
+
+def test_cor_3_3_refuses_a_contained_neighborhood_without_absorption():
+    # idempotent and uniquely determined, but N(1) = {2} <= N(3) = {2, 4}
+    # while 1*3 = 1, not 3
+    f = _path_p4_table({(1, 1): 1, (2, 2): 2, (3, 3): 3, (4, 4): 4,
+                        (1, 3): 1, (1, 4): 1, (2, 4): 2})
+    v = theorems.verify_cor_3_3(f)
+    assert v.is_counterexample and v.witness == "N(1) <= N(3) but 1*3 = 1"
+
+
 def test_thm_3_2_and_cor_3_3_on_rpartite():
     for sizes in ([2, 2], [2, 1], [3, 2, 1]):
         t = families.boolean_rpartite_table(sizes)
