@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import _MAX_COUNT, TooLargeError, _LineReader
+from .errors import _MAX_COUNT, TooLargeError, _check_name, _LineReader
 from .graph import Graph, is_connected, is_uniquely_determined, isomorphisms
 from .graph import is_uniquely_complemented, neighborhood_meet_closed
 from .realize import BOOLEAN, DEFAULT_MAX_N, realize_all
@@ -345,9 +345,13 @@ def ring_isomorphic(r1: BooleanRing, r2: BooleanRing, max_size: int = 16):
 
 
 def format_ring(r: BooleanRing) -> str:
+    """The ring as a file that parse_ring reads back; raises ValueError on a
+    name that would not read back."""
     lines = ["zdg-ring 1", f"n {r.size}"]
     for e in range(r.size):
-        lines.append(f"name {e} {r.name_of(e)}")
+        name = r.name_of(e)
+        _check_name(name)
+        lines.append(f"name {e} {name}")
     lines.append("add")
     for i in range(r.size):
         lines.append(" ".join(str(r.add[i][j]) for j in range(i, r.size)))

@@ -20,6 +20,13 @@ class TooLargeError(ValueError):
     """Instance exceeds a configured size guard."""
 
 
+def _check_name(name: str) -> None:
+    """Raise ValueError unless a writer can put name on a line that its
+    reader reads back as name: one token, with no whitespace and no ``#``."""
+    if "#" in name or name.split() != [name]:
+        raise ValueError(f"name {name!r} is not one token free of whitespace and '#'")
+
+
 class _LineReader:
     """The token lists of a text file's lines after its header line.
 

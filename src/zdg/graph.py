@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import _MAX_COUNT, FormatError, TooLargeError, _LineReader
+from .errors import _MAX_COUNT, FormatError, TooLargeError, _check_name, _LineReader
 
 ISO_MAX_N = 12
 
@@ -94,6 +94,19 @@ def from_edge_list(n: int, edges, names=None) -> Graph:
     return Graph(n, tuple(adj), tuple(names) if names is not None else None)
 
 
+def reachable(adj, src: int) -> int:
+    """The vertices reachable from src, src included, as a bitmask; adj is
+    one neighbour mask per vertex."""
+    seen = frontier = 1 << src
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
 def bfs_distances(g: Graph, src: int) -> list[int]:
     """Distances from src; -1 for unreachable vertices."""
     dist = [-1] * g.n
@@ -113,9 +126,7 @@ def bfs_distances(g: Graph, src: int) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    return all(d >= 0 for d in bfs_distances(g, 0))
+    return g.n > 0 and reachable(g.adj, 0) == (1 << g.n) - 1
 
 
 def diameter(g: Graph) -> int | None:
@@ -131,9 +142,7 @@ def component_count(g: Graph) -> int:
     for v in range(g.n):
         if not (seen >> v) & 1:
             count += 1
-            for u, d in enumerate(bfs_distances(g, v)):
-                if d >= 0:
-                    seen |= 1 << u
+            seen |= reachable(g.adj, v)
     return count
 
 
@@ -153,24 +162,7 @@ def core(g: Graph) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
         adj = list(g.adj)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        # BFS from u in the reduced graph looking for v
-        seen = 1 << u
-        frontier = [u]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for w in frontier:
-                for x in bits(adj[w]):
-                    if x == v:
-                        found = True
-                        break
-                    if not (seen >> x) & 1:
-                        seen |= 1 << x
-                        nxt.append(x)
-                if found:
-                    break
-            frontier = nxt
-        if found:
+        if (reachable(adj, u) >> v) & 1:
             core_edges.append((u, v))
     verts = frozenset(v for e in core_edges for v in e)
     return verts, frozenset(core_edges)
@@ -378,11 +370,14 @@ def parse_graph(text: str) -> Graph:
 
 def format_graph(g: Graph) -> str:
     """The graph as a file that parse_graph reads back; raises ValueError
-    when it has more vertices than the format allows."""
+    when it has more vertices than the format allows or a name that would
+    not read back."""
     if g.n > _MAX_COUNT:
         raise ValueError(f"graph has {g.n} vertices, over the file limit of {_MAX_COUNT}")
     lines = ["zdg-graph 1", f"n {g.n}"]
     if g.names is not None:
+        for name in g.names:
+            _check_name(name)
         lines.extend(f"v {i} {name}" for i, name in enumerate(g.names))
     lines.extend(f"e {u} {v}" for u, v in sorted(g.edges()))
     return "\n".join(lines) + "\n"

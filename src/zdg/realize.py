@@ -84,11 +84,6 @@ class SearchState:
 
     def assign(self, i: int, j: int, v: int) -> Conflict | None:
         a, b = (i, j) if i <= j else (j, i)
-        cur = self.table[a][b]
-        if cur != UNKNOWN:
-            if cur != v:
-                return Conflict((a, b), None, f"cell already {cur}, forced {v}")
-            return None
         if not (self.domains[(a, b)] >> v) & 1:
             return Conflict((a, b), None, f"value {v} not in candidate set")
         del self.domains[(a, b)]
@@ -145,11 +140,7 @@ def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
                     mask = 1 << x
                 else:
                     mask |= 1
-            if mask == 0:
-                # dead cell; keep it so propagate reports the conflict
-                domains[(x, y)] = 0
-            else:
-                domains[(x, y)] = mask
+            domains[(x, y)] = mask  # a dead cell (0) is left for propagate to report
     deg = (0,) + tuple(g.degree(v) for v in range(n))
     return SearchState(n, mode, deg, table, domains, set(range(1, n + 1)))
 
@@ -157,10 +148,12 @@ def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
 def propagate(state: SearchState) -> Conflict | None:
     """Drive the state to a fixpoint of the propagation rules:
 
-      * associativity closure on every triple with at least two resolved
-        products: forced values are assigned, twin unknown cells have their
-        candidate sets intersected, and a known product prunes candidates of
-        the remaining unknown factor cell;
+      * associativity on every triple (a, b, c) with ab and bc known: a
+        known (ab)c or a(bc) is assigned to the other side, and two known
+        sides must agree;
+      * a triple with only ab known and (ab)c known keeps the candidates w
+        of cell (b, c) for which a*w can still equal (ab)c; likewise with
+        only bc known, for cell (a, b);
       * singleton candidate sets assign immediately.
 
     The work is incremental.  Every assignment and every narrowing marks
@@ -234,53 +227,34 @@ def propagate(state: SearchState) -> Conflict | None:
                 ab = Ta[b]
                 for c in cols:
                     bc = Tb[c]
-                    if ab != UNKNOWN:
-                        if bc != UNKNOWN:
-                            left = T[ab][c]
-                            right = Ta[bc]
-                            if left != UNKNOWN:
-                                if right != UNKNOWN:
-                                    if left != right:
-                                        return Conflict(
-                                            (min(a, bc), max(a, bc)),
-                                            (a, b, c),
-                                            f"({a}*{b})*{c}={left} but {a}*({b}*{c})={right}",
-                                        )
-                                else:
-                                    conflict = state.assign(a, bc, left)
-                                    if conflict:
-                                        return Conflict(conflict.cell, (a, b, c), conflict.reason)
-                            elif right != UNKNOWN:
-                                conflict = state.assign(ab, c, right)
-                                if conflict:
-                                    return Conflict(conflict.cell, (a, b, c), conflict.reason)
-                            else:
-                                kl = (ab, c) if ab <= c else (c, ab)
-                                kr = (a, bc) if a <= bc else (bc, a)
-                                if kl != kr:
-                                    m = dom[kl] & dom[kr]
-                                    if m == 0:
-                                        return Conflict(kl, (a, b, c), "twin cells disagree")
-                                    if m != dom[kl]:
-                                        dom[kl] = m
-                                        dirty.update(kl)
-                                    if m != dom[kr]:
-                                        dom[kr] = m
-                                        dirty.update(kr)
-                        else:
-                            left = T[ab][c]
-                            if left != UNKNOWN:
-                                key = (b, c) if b <= c else (c, b)
-                                conflict = prune(key, a, left)
-                                if conflict:
-                                    return Conflict(conflict.cell, (a, b, c), conflict.reason)
-                    elif bc != UNKNOWN:
+                    if ab == UNKNOWN:
+                        if bc == UNKNOWN or Ta[bc] == UNKNOWN:
+                            continue
+                        key = (a, b) if a <= b else (b, a)
+                        conflict = prune(key, c, Ta[bc])
+                    elif bc == UNKNOWN:
+                        left = T[ab][c]
+                        if left == UNKNOWN:
+                            continue
+                        key = (b, c) if b <= c else (c, b)
+                        conflict = prune(key, a, left)
+                    else:
+                        left = T[ab][c]
                         right = Ta[bc]
-                        if right != UNKNOWN:
-                            key = (a, b) if a <= b else (b, a)
-                            conflict = prune(key, c, right)
-                            if conflict:
-                                return Conflict(conflict.cell, (a, b, c), conflict.reason)
+                        if left == right:
+                            continue
+                        if left == UNKNOWN:
+                            conflict = state.assign(ab, c, right)
+                        elif right == UNKNOWN:
+                            conflict = state.assign(a, bc, left)
+                        else:
+                            return Conflict(
+                                (min(a, bc), max(a, bc)),
+                                (a, b, c),
+                                f"({a}*{b})*{c}={left} but {a}*({b}*{c})={right}",
+                            )
+                    if conflict:
+                        return Conflict(conflict.cell, (a, b, c), conflict.reason)
     return None
 
 
@@ -332,7 +306,7 @@ def apply_automorphism(t: MulTable, perm: tuple[int, ...]) -> MulTable:
     return table_from_rows(rows)
 
 
-def _image_maps(g: Graph, max_n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int]]]:
     """Per automorphism p of g, the element map and, for each position of a
     canonical key, the position of the original key it is read from: the
     image of table t under p has key[k] = p[t[q[i]][q[j]]] at the k-th
@@ -343,7 +317,7 @@ def _image_maps(g: Graph, max_n: int) -> list[tuple[tuple[int, ...], list[int]]]
     for k, (i, j) in enumerate(cells):
         pos[i][j] = pos[j][i] = k
     maps = []
-    for a in automorphisms(g, max_n=max_n):
+    for a in automorphisms(g, max_n=g.n):
         p = (0,) + tuple(v + 1 for v in a)
         q = [0] * (n + 1)
         for e in range(n + 1):
@@ -352,16 +326,16 @@ def _image_maps(g: Graph, max_n: int) -> list[tuple[tuple[int, ...], list[int]]]
     return maps
 
 
-def iso_class_count(
-    keys, g: Graph, max_n: int = DEFAULT_MAX_N, complete: bool = False
-) -> int:
+def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
     """Orbits under Aut(G) of the tables with the given canonical keys.
 
     Walks the keys in the order given; a key already seen is skipped,
     otherwise it opens a new orbit and the keys of all its Aut(G) images
     are marked seen.  So Aut(G) is applied once per orbit, not once per
     table, and the count is exact for any subset of tables, closed under
-    Aut(G) or not.  Aut(G) is not computed for fewer than two keys.
+    Aut(G) or not.  Aut(G) is not computed for fewer than two keys, and is
+    searched with no size cap of its own: realize_all has already refused
+    a graph over its max_n.
 
     complete says the keys are every realization of g, so the set must be
     closed under Aut(G): each image of each orbit must be among the keys,
@@ -370,7 +344,7 @@ def iso_class_count(
     """
     if len(keys) < 2:
         return len(keys)
-    maps = _image_maps(g, max_n)
+    maps = _image_maps(g)
     emitted = set(keys) if complete else None
     seen: set[tuple[int, ...]] = set()
     sizes = []
@@ -483,7 +457,7 @@ def realize_all(
     truncated = limit is not None and len(sols) > limit
     keyed = sorted(((canonical_key(t), t) for t in sols[:limit]), key=itemgetter(0))
     keys = [k for k, _ in keyed]
-    iso = iso_class_count(keys, g, max_n=max_n, complete=not truncated)
+    iso = iso_class_count(keys, g, complete=not truncated)
     return RealizationReport(
         mode=mode,
         n=g.n,

@@ -242,8 +242,6 @@ def verify_thm_3_2(f: TableFacts) -> TheoremVerdict:
     for x in t.nonzero():
         sx = SG.equivalence_class(t, x)
         lx = SG.lower_set(t, x)
-        if 0 in sx or 0 in lx:
-            return TheoremVerdict("thm_3_2", name, True, False, f"0 in class of {x}")
         for sub, label in ((sx, "S_x"), (lx, "S_<=x")):
             bad = SG.closure_witness(t, sub)
             if bad is not None:

@@ -196,6 +196,29 @@ def test_graph_writer_refuses_what_the_reader_refuses():
         format_graph(Graph(65537, (0,) * 65537))
 
 
+@pytest.mark.parametrize("name", ["x#y", "a b", "", "a\tb", "a\nb", "\u00a0"])
+def test_graph_writer_refuses_a_name_the_reader_would_misread(name):
+    g = from_edge_list(2, [(0, 1)], names=[name, "w"])
+    with pytest.raises(ValueError, match="name"):
+        format_graph(g)
+
+
+def test_ring_writer_refuses_a_name_the_reader_would_misread():
+    ring = ring_from_graph(from_edge_list(2, [(0, 1)], names=["p#q", "r"]))
+    with pytest.raises(ValueError, match="name"):
+        format_ring(ring)
+
+
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=3))
+def test_graph_writer_output_reads_back_its_names(names):
+    g = from_edge_list(len(names), [], names)
+    try:
+        text = format_graph(g)
+    except ValueError:
+        return
+    assert parse_graph(text).names == g.names
+
+
 def test_ring_truncated_file_reports_a_real_line():
     assert format_ring(parse_ring(RING2)) == RING2
     lines = RING2.splitlines(keepends=True)

@@ -8,6 +8,7 @@ from conftest import (
     oracle_automorphisms,
     oracle_connected,
     oracle_diameter,
+    oracle_distances,
     oracle_meet_closed,
 )
 from zdg import families
@@ -32,7 +33,9 @@ from zdg.graph import (
     neighborhood_meet_closed,
     pendant_set,
     perp,
+    reachable,
 )
+from zdg.realize import BOOLEAN, PLAIN, realize_all
 
 
 @st.composite
@@ -200,17 +203,27 @@ def test_isomorphism_found_for_any_relabeling(data):
 
 
 def test_connected_graph_census():
-    labeled, classes = [], []
-    for n in range(1, 6):
+    # labeled connected graphs and their isomorphism classes for n = 1..6;
+    # at 5 and 6 vertices, the classes that are the zero-divisor graph of
+    # some semigroup (plain) and of some idempotent semigroup (boolean)
+    labeled, classes, realizable = [], [], {PLAIN: [], BOOLEAN: []}
+    for n in range(1, 7):
         graphs = connected_graphs(n)
-        reps = []
+        buckets = {}  # degree sequence -> class representatives
         for g in graphs:
-            if not any(is_isomorphic(g, h) for h in reps):
-                reps.append(g)
+            key = tuple(sorted(g.degree(v) for v in range(n)))
+            bucket = buckets.setdefault(key, [])
+            if not any(is_isomorphic(g, h) for h in bucket):
+                bucket.append(g)
+        reps = [g for bucket in buckets.values() for g in bucket]
         labeled.append(len(graphs))
         classes.append(len(reps))
-    assert labeled == [1, 1, 4, 38, 728]
-    assert classes == [1, 1, 2, 6, 21]
+        if n >= 5:
+            for mode, counts in realizable.items():
+                counts.append(sum(realize_all(g, mode, limit=1).labeled_count for g in reps))
+    assert labeled == [1, 1, 4, 38, 728, 26704]
+    assert classes == [1, 1, 2, 6, 21, 112]
+    assert realizable == {PLAIN: [18, 68], BOOLEAN: [12, 34]}
 
 
 def test_graph_props_bundle():
@@ -224,6 +237,14 @@ def test_graph_props_bundle():
 def test_connectivity_and_diameter_match_oracle(g):
     assert is_connected(g) == oracle_connected(g)
     assert diameter(g) == oracle_diameter(g)
+
+
+@given(graphs())
+def test_reachable_matches_oracle_distances(g):
+    d = oracle_distances(g)
+    for v in range(g.n):
+        want = sum(1 << u for u in range(g.n) if d[v][u] != float("inf"))
+        assert reachable(g.adj, v) == want
 
 
 @given(graphs())

@@ -339,6 +339,15 @@ def test_orbit_count_exact_on_truncated_sets(limit):
         iso_class_count([canonical_key(t) for t in rep.tables], g, complete=True)
 
 
+def test_orbit_count_follows_the_search_cap():
+    # 13 vertices: over the default cap of 12, inside the caller's max_n, so
+    # the automorphism search behind the orbit count must not cap it again
+    g = families.fig4(3, 3, 4)
+    assert g.n == 13
+    rep = realize_all(g, limit=5, max_n=13)
+    assert (rep.labeled_count, rep.iso_class_count, rep.truncated) == (5, 4, True)
+
+
 def _edit_search_output(monkeypatch, edit):
     """Make the search apply edit to its list of tables before returning it."""
     real = zdg.realize._dfs

@@ -133,16 +133,31 @@ def test_prop_2_10_on_boolean_star():
     assert v.hypotheses_met and v.conclusion_holds
 
 
-def _path_p4_table(products):
-    """A table on the path 1-2-3-4 with the given products; every product
-    not listed is 0.  Not associative: the claims are about semigroups, the
-    verifiers need only the graph."""
-    rows = [[0] * 5 for _ in range(5)]
+def _facts(n, edges, products):
+    """Facts of the table on n elements with the given products, every
+    product not listed 0, checked to have the given graph edges (vertex
+    ids).  Not associative: the claims are about semigroups, the verifiers
+    need only the graph."""
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
     for (a, b), p in products.items():
         rows[a][b] = rows[b][a] = p
     f = theorems.table_facts(table_from_rows(rows))
-    assert f.graph.edges() == [(0, 1), (1, 2), (2, 3)]
+    assert f.graph.edges() == edges
     return f
+
+
+def _path_p4_table(products):
+    """A table on the path 1-2-3-4 with the given products."""
+    return _facts(4, [(0, 1), (1, 2), (2, 3)], products)
+
+
+def _pendant_triangle_table(products):
+    """A table on the triangle 1-2-3 with end vertices 4 and 5 at 1: every
+    element idempotent, every other non-edge product 2, then products."""
+    base = {(x, x): x for x in range(1, 6)}
+    base.update({pair: 2 for pair in [(2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]})
+    base.update(products)
+    return _facts(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)], base)
 
 
 def test_prop_2_10_refuses_an_idempotent_hub_with_a_third_product():
@@ -161,6 +176,33 @@ def test_cor_3_3_refuses_a_contained_neighborhood_without_absorption():
                         (1, 3): 1, (1, 4): 1, (2, 4): 2})
     v = theorems.verify_cor_3_3(f)
     assert v.is_counterexample and v.witness == "N(1) <= N(3) but 1*3 = 1"
+
+
+def test_prop_2_7_refuses_end_vertices_whose_product_leaves_them():
+    # 1 is on the triangle and 1*1 = 1, but T_1 = {4, 5} and 4*5 = 1
+    f = _pendant_triangle_table({(4, 5): 1})
+    v = theorems.verify_prop_2_7(f, 1)
+    assert v.is_counterexample and v.witness == "4*5=1 leaves tx | {0}"
+
+
+@pytest.mark.parametrize("verify", [
+    lambda f: theorems.verify_thm_2_1(f, 1, {4, 5}),
+    lambda f: theorems.verify_cor_2_2(f, 1),
+], ids=["thm_2_1", "cor_2_2"])
+def test_thm_2_1_and_cor_2_2_refuse_a_product_into_tx(verify):
+    # tx = T_1 = {4, 5} meets the hypotheses, but 2*2 = 4 lands in tx
+    f = _pendant_triangle_table({(2, 2): 4})
+    v = verify(f)
+    assert v.is_counterexample and v.witness == "2*2=4 leaves S - tx"
+
+
+def test_thm_3_2_refuses_a_lower_set_that_is_not_closed():
+    # idempotent; S_<=2 = {2, 4} since N(4) = {3} <= N(2) = {1, 3}, but
+    # 2*4 = 1
+    f = _path_p4_table({(1, 1): 1, (2, 2): 2, (3, 3): 3, (4, 4): 4,
+                        (1, 3): 3, (1, 4): 4, (2, 4): 1})
+    v = theorems.verify_thm_3_2(f)
+    assert v.is_counterexample and v.witness == "x=2: 2*4=1 leaves S_<=x"
 
 
 def test_thm_3_2_and_cor_3_3_on_rpartite():
