@@ -12,7 +12,7 @@ from zdg import families
 from zdg.boolean_algebra import (
     check_boolean_graph_conditions,
     format_ring,
-    ring_from_graph,
+    ring_from_realization,
     ring_isomorphic,
     ring_zero_divisor_graph,
 )
@@ -30,7 +30,7 @@ def main():
         print(f"  {key}: {value}")
 
     start = time.monotonic()
-    ring = ring_from_graph(g, max_n=14)
+    ring = ring_from_realization(g, report.realization)
     iso = ring_isomorphic(ring, reference)
     print(f"reconstructed ring with {ring.size} elements in "
           f"{time.monotonic() - start:.2f}s; isomorphic to the reference: "

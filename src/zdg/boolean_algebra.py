@@ -4,12 +4,13 @@ and reconstruction of the ring.
 The pipeline: a connected graph qualifies iff (1) distinct vertices have
 distinct neighborhoods, (2) it is uniquely complemented, (3) nonempty
 neighborhood intersections are themselves neighborhoods, and (4) an
-idempotent semigroup realizes it.  Given all four, the elements ordered
-by inclusion of their neighborhoods (bottom = the adjoined 1, whose
-neighborhood is empty, and top = 0, whose neighborhood is the whole vertex
-set) form a boolean algebra whose join is the product, N(x) v N(y) = N(xy);
-ring addition falls out of the complement structure and every axiom is
-verified exhaustively before the ring is returned.
+idempotent semigroup realizes it.  The realization found for (4), extended
+by an identity, is certified by its atoms: coding each element by the atoms
+it absorbs must be a bijection onto F_2^k that takes the product to AND.
+Ring addition is XOR carried back along that code, so the ring is F_2^k up
+to relabeling and every axiom holds without an O(N^3) check;
+verify_ring_axioms stays as the exhaustive oracle.  The final check is that
+the ring's zero-divisor graph is the input graph.
 """
 
 from __future__ import annotations
@@ -98,85 +99,67 @@ def check_boolean_graph_conditions(g: Graph, max_n: int = DEFAULT_MAX_N) -> Bool
 
 @dataclass(frozen=True)
 class NeighborhoodAlgebra:
-    """The boolean algebra of a graph's neighborhoods, indexed by element.
+    """A boolean realization certified isomorphic to the subsets of its atoms.
 
     Element ids follow the semigroup convention (0 = zero, 1..n = vertices)
-    with n+1 for the adjoined identity.  Distinct elements have distinct
-    neighborhoods, so an element stands for its neighborhood, and the
-    order is inclusion of neighborhoods.  Every table is indexed by
-    element id:
+    with n+1 for the adjoined identity:
 
-    - ``hood[e]`` is N(e) as a vertex bitmask, with N(0) = V(G) and
-      N(n+1) empty;
-    - ``mul`` is the product extended by the identity, and it is the join:
-      N(a) v N(b) = N(ab);
-    - ``meet[a][b]`` is the element whose neighborhood is N(a) & N(b);
-    - ``complement[a]`` is the unique b with ab = 0 and meet n+1.
+    - ``mul[a][b]`` is the product extended by the identity;
+    - ``code[e]`` is the bitmask of the atoms that e absorbs: bit i is set
+      when the i-th atom a, in element order, has ae = a;
+    - ``elem`` inverts ``code``: ``elem[code[e]] == e``.
+
+    ``code`` is a bijection onto the k-bit masks that takes the product to
+    AND, so (elements, ``mul``) is the boolean algebra of subsets of the k
+    atoms and the neighborhood order is the reverse of the code order.
     """
 
-    hood: tuple[int, ...]
     mul: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    complement: tuple[int, ...]
+    code: tuple[int, ...]
+    elem: tuple[int, ...]
 
 
 def build_algebra(g: Graph, s: MulTable) -> NeighborhoodAlgebra:
-    """Construct and fully verify the neighborhood algebra of a boolean
-    realization; raises LatticeError with a witness on any axiom failure."""
+    """Certify a boolean realization by its atoms in O(N^2), N = n+2.
+
+    The atoms are the nonzero elements a with ax in {0, a} for every x, and
+    each element is coded by the atoms it absorbs.  Raises LatticeError with
+    a witness unless there are k atoms with 2^k = N, the codes are distinct,
+    and code(ab) = code(a) & code(b) for every pair.  Then the code is an
+    isomorphism onto (F_2^k, AND), which proves every boolean-ring axiom of
+    the product, commutativity and associativity included.
+    """
     if s.n != g.n:
         raise ValueError("table size must match the graph")
     if not is_boolean(s):
         raise ValueError("table must be idempotent")
     if zero_divisor_graph(s).adj != g.adj:
         raise ValueError("table does not realize the graph")
-    n = g.n
-    one = n + 1
-    elements = range(n + 2)
-    hood = ((1 << n) - 1, *g.adj, 0)
-    owner = {hood[0]: 0, hood[one]: one}
-    for v, mask in enumerate(g.adj):
-        if mask in owner:
-            raise LatticeError(f"neighborhoods collide at vertex {v}")
-        owner[mask] = v + 1
+    size = g.n + 2
+    elements = range(size)
     mul = tuple(row + (a,) for a, row in enumerate(s.prod)) + (tuple(elements),)
 
-    meet = []
+    atoms = [a for a in range(1, size) if set(mul[a]) <= {0, a}]
+    k = len(atoms)
+    if 1 << k != size:
+        raise LatticeError(f"atoms {atoms}: 2^{k} != {size} elements")
+    code = tuple(
+        sum(1 << i for i, a in enumerate(atoms) if mul[a][x] == a) for x in elements
+    )
+    elem = [-1] * size
+    for x, c in enumerate(code):
+        if elem[c] >= 0:
+            raise LatticeError(f"elements {elem[c]} and {x} both have code {c}")
+        elem[c] = x
     for a in elements:
-        row = []
+        ca, row = code[a], mul[a]
         for b in elements:
-            m = owner.get(hood[a] & hood[b])
-            if m is None:
-                raise LatticeError(f"meet of N({a}) and N({b}) is no neighborhood")
-            row.append(m)
-        meet.append(tuple(row))
-
-    # the product must be the least upper bound under inclusion
-    for a in elements:
-        for b in elements:
-            join = hood[mul[a][b]]
-            both = hood[a] | hood[b]
-            if both & ~join:
-                raise LatticeError(f"join not an upper bound at ({a},{b})")
-            for c in elements:
-                if both & ~hood[c] == 0 and join & ~hood[c]:
-                    raise LatticeError(f"join not least at ({a},{b},{c})")
-    # distributivity, checked exhaustively over all triples
-    for a in elements:
-        for b in elements:
-            mab = meet[a][b]
-            for c in elements:
-                if mul[mab][c] != meet[mul[a][c]][mul[b][c]]:
-                    raise LatticeError(f"distributivity fails at ({a},{b},{c})")
-
-    complement = []
-    for a in elements:
-        partners = [b for b in elements if mul[a][b] == 0 and meet[a][b] == one]
-        if len(partners) != 1:
-            raise LatticeError(
-                f"element {a} has {len(partners)} complements, wanted exactly 1"
-            )
-        complement.append(partners[0])
-    return NeighborhoodAlgebra(hood, mul, tuple(meet), tuple(complement))
+            if code[row[b]] != ca & code[b]:
+                raise LatticeError(
+                    f"{a}*{b} = {row[b]} has code {code[row[b]]},"
+                    f" not code({a}) & code({b}) = {ca & code[b]}"
+                )
+    return NeighborhoodAlgebra(mul, code, tuple(elem))
 
 
 @dataclass(frozen=True)
@@ -274,9 +257,11 @@ def ring_from_graph(g: Graph, max_n: int = DEFAULT_MAX_N) -> BooleanRing:
 
     Requires all four boolean-graph conditions and builds the ring from the
     boolean realization found while checking them.  build_algebra accepts a
-    realization only if N(xy) is the join of N(x) and N(y) in the lattice of
-    g's neighborhoods, which fixes every product from g alone, so the ring
-    does not depend on which realization the search found.
+    realization only when its product is the meet of a boolean algebra;
+    then N(x) contains N(y) exactly when xy = x, so N(xy) is the least
+    neighborhood containing N(x) and N(y).  That fixes every product from g
+    alone, so the ring does not depend on which realization the search
+    found.
     """
     conditions = check_boolean_graph_conditions(g, max_n=max_n)
     if not conditions.all_hold:
@@ -289,27 +274,20 @@ def ring_from_graph(g: Graph, max_n: int = DEFAULT_MAX_N) -> BooleanRing:
 def ring_from_realization(g: Graph, s: MulTable) -> BooleanRing:
     """The boolean ring of g built on an idempotent table s realizing g.
 
-    Builds the neighborhood algebra, whose join is the ring's product,
-    derives addition as x+y = meet(x y', x' y) where ' is the lattice
-    complement, verifies every ring axiom exhaustively, and checks that the
-    ring's zero-divisor graph is g on the nose.
+    Certifies s by its atoms (build_algebra), whose code is an isomorphism
+    onto (F_2^k, AND); the ring's addition is XOR carried back along it,
+    a+b = elem[code(a) ^ code(b)], so the ring is isomorphic to F_2^k and
+    every ring axiom holds.  Checks that the ring's zero-divisor graph is g
+    on the nose.
     """
     alg = build_algebra(g, s)
-    mul, meet, comp = alg.mul, alg.meet, alg.complement
-    n = g.n
-    elements = range(n + 2)
-    add = tuple(
-        tuple(meet[mul[a][comp[b]]][mul[comp[a]][b]] for b in elements)
-        for a in elements
-    )
+    code, elem = alg.code, alg.elem
+    add = tuple(tuple(elem[ca ^ cb] for cb in code) for ca in code)
 
     names = None
     if g.names is not None:
         names = ("0",) + tuple(g.names) + ("1",)
-    ring = BooleanRing(n=n, add=add, mul=mul, names=names)
-    violations = verify_ring_axioms(ring)
-    if violations:
-        raise LatticeError("ring axioms failed: " + violations[0])
+    ring = BooleanRing(n=g.n, add=add, mul=alg.mul, names=names)
     if ring_zero_divisor_graph(ring).adj != g.adj:
         raise LatticeError("reconstructed ring has the wrong zero-divisor graph")
     return ring

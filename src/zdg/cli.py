@@ -150,6 +150,9 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_boolean_ring(args) -> int:
+    if args.json and args.emit_tables == "-":
+        print("error: --json and --emit-tables - would both write to stdout", file=sys.stderr)
+        return 2
     g = _load_graph(args.graph)
     conditions = BA.check_boolean_graph_conditions(g, max_n=args.max_n)
     if args.check_only or not conditions.all_hold:

@@ -31,10 +31,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of v."""
@@ -68,7 +64,7 @@ class Graph:
         return bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]

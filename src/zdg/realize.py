@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import TooLargeError
-from .graph import Graph, automorphisms, bits, is_connected, popcount
+from .graph import Graph, automorphisms, bits, is_connected
 from .semigroup import (
     MulTable,
     assoc_violation_symmetric,
@@ -381,7 +381,7 @@ def _pick_cell(state: SearchState) -> tuple[int, int] | None:
     best = None
     best_rank = None
     for cell, m in state.domains.items():
-        rank = (popcount(m), deg[cell[0]] + deg[cell[1]], cell)
+        rank = (m.bit_count(), deg[cell[0]] + deg[cell[1]], cell)
         if best_rank is None or rank < best_rank:
             best_rank = rank
             best = cell

@@ -239,9 +239,9 @@ def verify_thm_3_2(f: TableFacts) -> TheoremVerdict:
     name = "thm_3_2"
     if not SG.is_boolean(t):
         return TheoremVerdict("thm_3_2", name, False, None)
-    for x in t.nonzero():
-        sx = SG.equivalence_class(t, x)
-        lx = SG.lower_set(t, x)
+    for x, nx in f.hoods.items():
+        sx = frozenset(y for y, ny in f.hoods.items() if ny == nx)
+        lx = frozenset(y for y, ny in f.hoods.items() if ny <= nx)
         for sub, label in ((sx, "S_x"), (lx, "S_<=x")):
             bad = SG.closure_witness(t, sub)
             if bad is not None:

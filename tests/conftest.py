@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 
 from zdg import families
-from zdg.graph import Graph, bits, connected_graphs
+from zdg.graph import Graph, bits, connected_graphs, is_isomorphic
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -80,3 +80,14 @@ def fixture_tables():
 @pytest.fixture(scope="session")
 def connected_upto_4():
     return [g for n in range(1, 5) for g in connected_graphs(n)]
+
+
+@pytest.fixture(scope="session")
+def connected_classes_upto_5():
+    """One connected graph per isomorphism class on 1..5 vertices."""
+    reps = []
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            if not any(h.n == n and is_isomorphic(g, h) for h in reps):
+                reps.append(g)
+    return reps

@@ -12,6 +12,7 @@ from zdg.boolean_algebra import (
     build_algebra,
     check_boolean_graph_conditions,
     ring_from_graph,
+    ring_from_realization,
     ring_isomorphic,
     ring_zero_divisor_graph,
     verify_ring_axioms,
@@ -61,64 +62,85 @@ def test_build_algebra_k2():
     g = families.complete(2)
     s = realize_all(g, BOOLEAN).tables[0]
     alg = build_algebra(g, s)
-    assert len(alg.hood) == 4
-    assert set(alg.hood) == {0b00, 0b01, 0b10, 0b11}
-    for a in range(4):
-        c = alg.complement[a]
-        assert alg.mul[a][c] == 0 and alg.meet[a][c] == 3
+    # the atoms are the two vertices; the identity absorbs both
+    assert alg.code == (0b00, 0b01, 0b10, 0b11)
+    assert alg.elem == (0, 1, 2, 3)
 
 
 def test_build_algebra_f2_3_is_powerset():
     g = gamma_f2(3)
     s = realize_all(g, BOOLEAN).tables[0]
     alg = build_algebra(g, s)
-    assert len(alg.hood) == 8
-    # neighborhood sizes: one-bit masks see three vertices, two-bit masks
-    # see one, plus bottom and top
-    sizes = sorted(bin(m).count("1") for m in alg.hood)
-    assert sizes == [0, 1, 1, 1, 3, 3, 3, 6]
+    assert sorted(alg.code) == list(range(8))
+    # a vertex absorbing j of the 3 atoms is joined to the 2^(3-j) - 1
+    # nonzero elements disjoint from it
+    for v, mask in enumerate(g.adj):
+        assert mask.bit_count() == 2 ** (3 - alg.code[v + 1].bit_count()) - 1
 
 
 def test_build_algebra_join_law():
     g = gamma_f2(3)
     s = realize_all(g, BOOLEAN).tables[0]
     alg = build_algebra(g, s)
-    # the product is the order-theoretic lub of neighborhoods
-    for a, ha in enumerate(alg.hood):
-        for b, hb in enumerate(alg.hood):
-            uppers = [m for m in alg.hood if (ha | hb) & ~m == 0]
+    # the product is the order-theoretic lub of neighborhoods, N(0) = V(G)
+    # and the identity's neighborhood empty
+    hood = ((1 << g.n) - 1, *g.adj, 0)
+    for a, ha in enumerate(hood):
+        for b, hb in enumerate(hood):
+            uppers = [m for m in hood if (ha | hb) & ~m == 0]
             lub = min(uppers, key=lambda m: bin(m).count("1"))
-            assert alg.hood[alg.mul[a][b]] == lub
+            assert hood[alg.mul[a][b]] == lub
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_build_algebra_bit_vector_reference(k):
-    # with element id = mask, the join is AND, the meet is OR and the
-    # complement flips every bit
+    # with element id = mask, atom i is the mask 1 << i, so the code is the
+    # identity and the product is AND
     alg = build_algebra(gamma_f2(k), f2k_table(k))
-    full = (1 << k) - 1
-    for a in range(full + 1):
-        assert alg.complement[a] == a ^ full
-        for b in range(full + 1):
+    masks = tuple(range(1 << k))
+    assert alg.code == masks and alg.elem == masks
+    for a in masks:
+        for b in masks:
             assert alg.mul[a][b] == a & b
-            assert alg.meet[a][b] == a | b
 
 
 @pytest.mark.parametrize(
     "k, a, b, product, message",
     [
-        (3, 1, 3, 3, r"join not an upper bound at \(1,3\)"),
-        (4, 7, 11, 1, r"join not least at \(7,11,2\)"),
+        (3, 1, 3, 3, r"^atoms \[2, 4\]: 2\^2 != 8 elements$"),
+        (4, 7, 11, 1, r"^7\*11 = 1 has code 1, not code\(7\) & code\(11\) = 3$"),
     ],
     ids=["upper-bound", "least"],
 )
 def test_build_algebra_rejects_product_that_is_no_join(k, a, b, product, message):
     # the edited product is nonzero and idempotency is untouched, so the
-    # table still realizes the graph and only the lattice checks can refuse it
+    # table still realizes the graph and only the certificate can refuse it.
+    # N(3) is no upper bound of N(1) and N(3), and 1*3 = 3 takes 1 out of
+    # the atoms.  N(1) is an upper bound of N(7) and N(11) but not the least,
+    # N(3); 7*11 = 1 leaves the atoms and codes alone, so only the product
+    # check sees it.
     rows = [list(row) for row in f2k_table(k).prod]
     rows[a][b] = rows[b][a] = product
     with pytest.raises(LatticeError, match=message):
         build_algebra(gamma_f2(k), table_from_rows(rows))
+
+
+def test_build_algebra_refuses_a_repeated_code():
+    # K_1,5 plus an edge between two leaves.  Elements 1, 2 and 3 are the
+    # atoms, so the count passes (2^3 = 8 elements), but 4, 5 and 6 form a
+    # chain above 2 and 3 and all three absorb exactly atoms 2 and 3
+    g = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)])
+    s = table_from_rows([
+        [0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 2, 0, 2, 2, 2],
+        [0, 0, 0, 3, 3, 3, 3],
+        [0, 0, 2, 3, 4, 4, 4],
+        [0, 0, 2, 3, 4, 5, 5],
+        [0, 0, 2, 3, 4, 5, 6],
+    ])
+    with pytest.raises(LatticeError, match=r"^elements 4 and 5 both have code 6$"):
+        build_algebra(g, s)
 
 
 def test_build_algebra_rejects_wrong_table():
@@ -129,12 +151,31 @@ def test_build_algebra_rejects_wrong_table():
 
 
 def test_build_algebra_lattice_error_on_bad_instance():
-    # K_3 realized by orthogonal idempotents: meets of neighborhoods are
-    # not neighborhoods, so the lattice construction must fail loudly
+    # K_3 realized by orthogonal idempotents: three atoms, but five elements
+    # are no power of two
     g = families.complete(3)
     s = realize_all(g, BOOLEAN).tables[0]
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match=r"^atoms \[1, 2, 3\]: 2\^3 != 5 elements$"):
         build_algebra(g, s)
+
+
+def test_build_algebra_accepts_only_rings(connected_classes_upto_5):
+    # every boolean realization of the small classes, plus the one of
+    # Gamma(F_2^3): a table the certificate accepts gives a ring that the
+    # exhaustive oracle passes and whose zero-divisor graph is g
+    accepted = refused = 0
+    for g in (*connected_classes_upto_5, gamma_f2(3)):
+        for s in realize_all(g, BOOLEAN).tables:
+            try:
+                build_algebra(g, s)
+            except LatticeError:
+                refused += 1
+                continue
+            accepted += 1
+            ring = ring_from_realization(g, s)
+            assert verify_ring_axioms(ring) == []
+            assert ring_zero_divisor_graph(ring).adj == g.adj
+    assert (accepted, refused) == (2, 141)
 
 
 def test_ring_from_graph_k2():
@@ -194,6 +235,7 @@ def test_ring_isomorphic_finds_a_relabeled_ring(k):
     random.Random(k).shuffle(p)
     ring = ring_from_graph(from_edge_list(g.n, [(p[u], p[v]) for u, v in g.edges()]),
                            max_n=14)
+    assert verify_ring_axioms(ring) == []
     target = families.f2k_ring(k)
     iso = ring_isomorphic(ring, target)
     assert sorted(iso) == list(range(ring.size))

@@ -113,6 +113,16 @@ def test_boolean_ring_emits_ring(tmp_path, capsys):
     assert ring_file.read_text().startswith("zdg-ring 1")
 
 
+def test_boolean_ring_refuses_two_documents_on_stdout(tmp_path, capsys):
+    # the ring file and the JSON document would share stdout, which is then
+    # neither
+    path = tmp_path / "k2.zdg-graph"
+    path.write_text(format_graph(families.complete(2)))
+    code, out, err = run(capsys, "boolean-ring", str(path), "--json", "--emit-tables", "-")
+    assert code == 2 and out == ""
+    assert err == "error: --json and --emit-tables - would both write to stdout\n"
+
+
 def test_boolean_ring_searches_once(tmp_path, capsys, monkeypatch):
     import zdg.boolean_algebra as BA
 

@@ -9,7 +9,7 @@ import pytest
 import zdg.realize
 from zdg import families
 from zdg.errors import TooLargeError
-from zdg.graph import connected_graphs, from_edge_list, is_isomorphic
+from zdg.graph import connected_graphs, from_edge_list
 from zdg.realize import (
     BOOLEAN,
     PLAIN,
@@ -308,17 +308,6 @@ def test_iso_class_count_skips_automorphisms_below_two_tables(monkeypatch):
     monkeypatch.setattr(zdg.realize, "automorphisms", refuse)
     assert realize_all(families.fig1(0, 0)).iso_class_count == 1
     assert realize_all(families.m_nk(4, 3)).iso_class_count == 0
-
-
-@pytest.fixture(scope="module")
-def connected_classes_upto_5():
-    """One connected graph per isomorphism class on 1..5 vertices."""
-    reps = []
-    for n in range(1, 6):
-        for g in connected_graphs(n):
-            if not any(h.n == n and is_isomorphic(g, h) for h in reps):
-                reps.append(g)
-    return reps
 
 
 @pytest.mark.parametrize("mode", [PLAIN, BOOLEAN])
