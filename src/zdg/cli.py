@@ -174,7 +174,7 @@ def _cmd_boolean_ring(args) -> int:
             "mul": [list(ring.mul[i][i:]) for i in range(ring.size)],
         }
         _emit_json(payload)
-    else:
+    elif args.emit_tables != "-":
         print(f"boolean ring with {ring.size} elements")
         sys.stdout.write(BA.format_ring(ring))
     return 0
@@ -220,8 +220,10 @@ def _cmd_theorems(args) -> int:
         g = _load_graph(args.sweep)
         mode = RZ.BOOLEAN if args.boolean else RZ.PLAIN
         report = RZ.realize_all(g, mode, max_n=args.max_n)
-        for t in report.tables:
-            verdicts.extend(TH.all_verdicts(t))
+        if report.tables:
+            verdicts_of = TH.plan(g)
+            for t in report.tables:
+                verdicts.extend(verdicts_of(t))
     else:
         t = _load_table(args.table)
         bad = SG.check_axioms(t)

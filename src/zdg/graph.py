@@ -150,16 +150,39 @@ def has_cycle(g: Graph) -> bool:
 def core(g: Graph) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
     """Vertices and edges of the core: the edges lying on at least one cycle.
 
-    An edge is on a cycle iff it is not a bridge, i.e. its endpoints stay
-    connected after the edge is removed.
+    An edge is on a cycle iff it is not a bridge.  One depth-first walk
+    finds every bridge (Tarjan's lowlink): the tree edge parent-v is a
+    bridge iff no vertex below v has a back edge to parent or above.  The
+    walk keeps its own stack, so a long path does not hit the recursion
+    limit.
     """
-    core_edges = []
-    for u, v in g.edges():
-        adj = list(g.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        if (reachable(adj, u) >> v) & 1:
-            core_edges.append((u, v))
+    order = [-1] * g.n  # discovery index
+    low = [0] * g.n  # least discovery index reached from v's subtree
+    bridges = set()
+    count = 0
+    for root in range(g.n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack = [(root, -1, bits(g.adj[root]))]
+        while stack:
+            v, parent, todo = stack[-1]
+            for w in todo:
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append((w, v, bits(g.adj[w])))
+                    break
+                if w != parent and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > order[parent]:
+                        bridges.add((min(parent, v), max(parent, v)))
+    core_edges = [e for e in g.edges() if e not in bridges]
     verts = frozenset(v for e in core_edges for v in e)
     return verts, frozenset(core_edges)
 

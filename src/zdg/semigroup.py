@@ -209,22 +209,6 @@ def is_reduced(t: MulTable) -> bool:
     return nilpotent_witness(t) is None
 
 
-def equivalence_class(t: MulTable, x: int) -> ElementSubset:
-    """S_x: the nonzero elements whose graph neighborhood equals N(x)."""
-    if x == 0:
-        raise ValueError("equivalence classes are defined for nonzero elements")
-    nx = neighborhood(t, x)
-    return frozenset(y for y in t.nonzero() if neighborhood(t, y) == nx)
-
-
-def lower_set(t: MulTable, x: int) -> ElementSubset:
-    """S_<=x: the nonzero elements whose neighborhood is contained in N(x)."""
-    if x == 0:
-        raise ValueError("lower sets are defined for nonzero elements")
-    nx = neighborhood(t, x)
-    return frozenset(y for y in t.nonzero() if neighborhood(t, y) <= nx)
-
-
 def annihilator(t: MulTable, xs: Iterable[int]) -> ElementSubset:
     """Elements whose product with every member of xs is zero (all of S for
     empty xs; always contains 0)."""

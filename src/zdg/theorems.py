@@ -6,12 +6,22 @@ This is a falsification harness, not a proof system: sweeping all verifiers
 over every realized table in a corpus must produce zero counterexamples.
 Verdicts never guess: failed hypotheses mark the conclusion not-applicable
 rather than true or false.
+
+A verifier reads a table through TableFacts: the facts of its zero-divisor
+graph G (cycle flag, every T_x and N(x), the core), which graph_facts works
+out from G alone, bound to the table by bind, which checks that G is the
+table's zero-divisor graph.  Many hypotheses depend on G alone, so plan(g)
+lays out, once per graph, the verdicts of every table realizing g: an
+instance whose hypotheses already fail on g is settled for all of them, and
+only the others call a verifier per table.  all_verdicts(t) is the plan of
+t's own graph, applied to t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from . import graph as G
 from . import semigroup as SG
@@ -41,11 +51,11 @@ class TheoremVerdict:
 
 
 @dataclass(frozen=True)
-class TableFacts:
-    """The graph facts the verifiers read, computed once per table; every
-    element set holds element ids and is keyed by element id."""
+class GraphFacts:
+    """The facts of a graph G that the verifiers read, worked out once per
+    graph; element e is vertex e - 1, and every element set holds element
+    ids and is keyed by element id."""
 
-    table: MulTable
     graph: G.Graph
     has_cycle: bool
     pendants: dict[int, frozenset[int]]  # x -> T_x
@@ -53,17 +63,87 @@ class TableFacts:
     core: frozenset[int]  # the core's vertices
 
 
-def table_facts(t: MulTable) -> TableFacts:
-    """Raises ValueError when some nonzero element is not a zero divisor."""
-    g = SG.zero_divisor_graph(t)
-    return TableFacts(
-        table=t,
+@dataclass(frozen=True)
+class TableFacts(GraphFacts):
+    """A table with the facts of its zero-divisor graph."""
+
+    table: MulTable
+
+
+def graph_facts(g: G.Graph) -> GraphFacts:
+    elems = range(1, g.n + 1)
+    return GraphFacts(
         graph=g,
         has_cycle=G.has_cycle(g),
-        pendants={x: frozenset(v + 1 for v in G.pendant_set(g, x - 1)) for x in t.nonzero()},
-        hoods={x: frozenset(v + 1 for v in G.bits(g.adj[x - 1])) for x in t.nonzero()},
+        pendants={x: frozenset(v + 1 for v in G.pendant_set(g, x - 1)) for x in elems},
+        hoods={x: frozenset(v + 1 for v in G.bits(g.adj[x - 1])) for x in elems},
         core=frozenset(v + 1 for v in G.core(g)[0]),
     )
+
+
+def bind(f: GraphFacts, t: MulTable) -> TableFacts:
+    """t with the facts f.  Raises ValueError unless f's graph is t's
+    zero-divisor graph: every nonzero element is a zero divisor, and its
+    zero products with the other nonzero elements are its neighbours."""
+    g = f.graph
+    if t.n != g.n:
+        raise ValueError(f"table has {t.n} nonzero elements, graph has {g.n} vertices")
+    for x in t.nonzero():
+        zeros = 0
+        for y, v in enumerate(t.prod[x]):
+            if v == 0:
+                zeros |= 1 << y
+        zeros >>= 1  # vertex ids
+        if not zeros:
+            raise ValueError(f"element {x} is not a zero divisor")
+        if zeros & ~(1 << (x - 1)) != g.adj[x - 1]:
+            raise ValueError(f"element {x}: its zero products are not its neighbours in the graph")
+    return TableFacts(f.graph, f.has_cycle, f.pendants, f.hoods, f.core, table=t)
+
+
+def table_facts(t: MulTable) -> TableFacts:
+    """Raises ValueError when some nonzero element is not a zero divisor."""
+    return bind(graph_facts(SG.zero_divisor_graph(t)), t)
+
+
+# The hypotheses that depend on the graph alone.  A verifier tests them
+# before the table's own; plan() settles an instance that fails them once
+# for every table of the graph.
+
+
+def _thm_2_1_applies(f: GraphFacts, x: int, tx: frozenset[int]) -> bool:
+    """For tx inside S - {0, x}: tx holds T_x, has no edge to the rest
+    cx = S - tx - {0, x}, and cx is nonempty or G has a cycle and T_x is
+    nonempty."""
+    pend = f.pendants[x]
+    cx = f.hoods.keys() - tx - {x}
+    return (pend <= tx and not any(f.hoods[a] & cx for a in tx)
+            and (bool(cx) or (f.has_cycle and bool(pend))))
+
+
+def _cor_2_2_applies(f: GraphFacts, x: int) -> bool:
+    return bool(f.pendants[x]) and _thm_2_1_applies(f, x, f.pendants[x])
+
+
+def _prop_2_7_applies(f: GraphFacts, x: int) -> bool:
+    return f.has_cycle and len(f.hoods[x]) != 1
+
+
+def _thm_2_9_applies(f: GraphFacts, s: int, u: int) -> bool:
+    ts, tu = f.pendants[s], f.pendants[u]
+    return s != u and bool(ts) and bool(tu) and s not in tu and u not in ts
+
+
+def _prop_3_6_applies(f: GraphFacts) -> bool:
+    return G.is_uniquely_determined(f.graph)
+
+
+def _thm_2_1_name(x: int, tx: Iterable[int]) -> str:
+    return f"thm_2_1(x={x}, tx={sorted(tx)})"
+
+
+def _thm_2_9_name(s: int, u: int) -> str:
+    return f"thm_2_9(s={s}, t={u})"
 
 
 def _check_element(t: MulTable, x: int):
@@ -79,18 +159,11 @@ def verify_thm_2_1(f: TableFacts, x: int, tx: Iterable[int]) -> TheoremVerdict:
     t = f.table
     _check_element(t, x)
     tx = frozenset(tx)
-    name = f"thm_2_1(x={x}, tx={sorted(tx)})"
+    name = _thm_2_1_name(x, tx)
     all_elems = frozenset(t.nonzero())
     if not tx <= all_elems - {x}:
         return TheoremVerdict("thm_2_1", name, False, None, "tx not inside S - {0, x}")
-
-    pend = f.pendants[x]
-    h1 = pend <= tx
-    cx = all_elems - tx - {x}
-    h2 = not any(f.hoods[a] & cx for a in tx)  # no edge between tx and cx
-    cyc = f.has_cycle
-    h3 = bool(cx) or (cyc and bool(pend))
-    if not (h1 and h2 and h3):
+    if not _thm_2_1_applies(f, x, tx):
         return TheoremVerdict("thm_2_1", name, False, None)
 
     rest = frozenset({0}) | (all_elems - tx)
@@ -99,7 +172,7 @@ def verify_thm_2_1(f: TableFacts, x: int, tx: Iterable[int]) -> TheoremVerdict:
         return TheoremVerdict(
             "thm_2_1", name, True, False, f"{bad[0]}*{bad[1]}={bad[2]} leaves S - tx"
         )
-    if pend and cyc and t.prod[x][x] not in (0, x):
+    if f.pendants[x] and f.has_cycle and t.prod[x][x] not in (0, x):
         return TheoremVerdict(
             "thm_2_1", name, True, False, f"x*x = {t.prod[x][x]} is neither 0 nor x"
         )
@@ -118,7 +191,7 @@ def verify_cor_2_2(f: TableFacts, x: int) -> TheoremVerdict:
     """
     _check_element(f.table, x)
     name = f"cor_2_2(x={x})"
-    if not f.pendants[x]:
+    if not _cor_2_2_applies(f, x):
         return TheoremVerdict("cor_2_2", name, False, None)
     return replace(verify_thm_2_1(f, x, f.pendants[x]), theorem="cor_2_2", instance=name)
 
@@ -129,7 +202,7 @@ def verify_prop_2_7(f: TableFacts, x: int) -> TheoremVerdict:
     t = f.table
     _check_element(t, x)
     name = f"prop_2_7(x={x})"
-    if not f.has_cycle or len(f.hoods[x]) == 1 or t.prod[x][x] == 0:
+    if not _prop_2_7_applies(f, x) or t.prod[x][x] == 0:
         return TheoremVerdict("prop_2_7", name, False, None)
     bad = SG.closure_witness(t, f.pendants[x] | {0})
     if bad is not None:
@@ -163,15 +236,11 @@ def verify_thm_2_9(f: TableFacts, s: int, u: int) -> TheoremVerdict:
     t, g = f.table, f.graph
     _check_element(t, s)
     _check_element(t, u)
-    name = f"thm_2_9(s={s}, t={u})"
-    if s == u:
-        return TheoremVerdict("thm_2_9", name, False, None)
-    ts, tu = f.pendants[s], f.pendants[u]
-    hyp = bool(ts) and bool(tu) and t.prod[s][s] == 0 and t.prod[u][u] == 0
-    hyp = hyp and s not in tu and u not in ts
-    if not hyp:
+    name = _thm_2_9_name(s, u)
+    if not _thm_2_9_applies(f, s, u) or t.prod[s][s] != 0 or t.prod[u][u] != 0:
         return TheoremVerdict("thm_2_9", name, False, None)
 
+    ts, tu = f.pendants[s], f.pendants[u]
     ns, nu = f.hoods[s], f.hoods[u]
     for y in sorted(ts):
         for x in sorted(tu):
@@ -289,7 +358,7 @@ def verify_prop_3_6(f: TableFacts) -> TheoremVerdict:
     """A reduced table whose graph is uniquely determined is idempotent."""
     t = f.table
     name = "prop_3_6"
-    if not SG.is_reduced(t) or not G.is_uniquely_determined(f.graph):
+    if not _prop_3_6_applies(f) or not SG.is_reduced(t):
         return TheoremVerdict("prop_3_6", name, False, None)
     for x in t.nonzero():
         if t.prod[x][x] != x:
@@ -304,13 +373,13 @@ def verify_prop_3_6(f: TableFacts) -> TheoremVerdict:
 _MAX_FREE_TX_N = 8
 
 
-def _thm_2_1_subsets(f: TableFacts, x: int) -> list[frozenset[int]]:
+def _thm_2_1_subsets(f: GraphFacts, x: int) -> list[frozenset[int]]:
     """T_x plus every union of the other connected components of G - x:
     exactly the tx that contain T_x and have no edge to the rest (each end
     vertex at x is a component of its own), by size, then elementwise."""
     subsets = [f.pendants[x]]
-    left = set(f.table.nonzero()) - f.pendants[x] - {x}
-    while left and f.table.n <= _MAX_FREE_TX_N:
+    left = set(f.hoods) - f.pendants[x] - {x}
+    while left and f.graph.n <= _MAX_FREE_TX_N:
         part, grow = frozenset(), {min(left)}
         while grow:
             part |= grow
@@ -320,30 +389,52 @@ def _thm_2_1_subsets(f: TableFacts, x: int) -> list[frozenset[int]]:
     return sorted(subsets, key=lambda tx: (len(tx), sorted(tx)))
 
 
-def all_verdicts(t: MulTable) -> list[TheoremVerdict]:
-    """Sweep every verifier over every eligible instance of one table.
+def plan(g: G.Graph) -> Callable[[MulTable], list[TheoremVerdict]]:
+    """The sweep of every verifier over every eligible instance, as a
+    function of a table that realizes g; it raises ValueError unless g is
+    the table's zero-divisor graph.
 
-    The free subset tx of the first claim ranges over the subsets that can
-    meet its hypotheses (see _thm_2_1_subsets), or only over T_x when the
-    table has more than _MAX_FREE_TX_N nonzero elements.
+    The plan is a list of slots in sweep order: a TheoremVerdict where g
+    alone fails the hypotheses, shared by every table, else a verifier
+    waiting for the table.  The free subset tx of the first claim ranges
+    over the subsets that can meet its hypotheses (see _thm_2_1_subsets),
+    or only over T_x when g has more than _MAX_FREE_TX_N vertices.  The
+    verifiers are looked up here, so a wrapper set on this module before
+    the call is the one called.
     """
-    f = table_facts(t)
-    out: list[TheoremVerdict] = []
-    elems = list(t.nonzero())
+    f = graph_facts(g)
+    slots: list[TheoremVerdict | Callable[[TableFacts], TheoremVerdict]] = []
+
+    def add(applies: bool, verify, theorem: str, instance: str, **args):
+        slots.append(partial(verify, **args) if applies
+                     else TheoremVerdict(theorem, instance, False, None))
+
+    elems = range(1, g.n + 1)
     for x in elems:
         for tx in _thm_2_1_subsets(f, x):
-            out.append(verify_thm_2_1(f, x, tx))
-        out.append(verify_cor_2_2(f, x))
-        out.append(verify_prop_2_7(f, x))
+            add(_thm_2_1_applies(f, x, tx), verify_thm_2_1, "thm_2_1",
+                _thm_2_1_name(x, tx), x=x, tx=tx)
+        add(_cor_2_2_applies(f, x), verify_cor_2_2, "cor_2_2", f"cor_2_2(x={x})", x=x)
+        add(_prop_2_7_applies(f, x), verify_prop_2_7, "prop_2_7", f"prop_2_7(x={x})", x=x)
     for s in elems:
         for u in elems:
             if s < u:
-                out.append(verify_thm_2_9(f, s, u))
-    out.append(verify_prop_2_10(f))
-    out.append(verify_thm_3_2(f))
-    out.append(verify_cor_3_3(f))
-    out.append(verify_prop_3_6(f))
-    return out
+                add(_thm_2_9_applies(f, s, u), verify_thm_2_9, "thm_2_9",
+                    _thm_2_9_name(s, u), s=s, u=u)
+    slots += [verify_prop_2_10, verify_thm_3_2, verify_cor_3_3]
+    add(_prop_3_6_applies(f), verify_prop_3_6, "prop_3_6", "prop_3_6")
+
+    def verdicts(t: MulTable) -> list[TheoremVerdict]:
+        tf = bind(f, t)
+        return [s(tf) if callable(s) else s for s in slots]
+
+    return verdicts
+
+
+def all_verdicts(t: MulTable) -> list[TheoremVerdict]:
+    """Sweep every verifier over every eligible instance of one table: the
+    plan of its zero-divisor graph, applied to it."""
+    return plan(SG.zero_divisor_graph(t))(t)
 
 
 def counterexamples(verdicts: Iterable[TheoremVerdict]) -> list[TheoremVerdict]:

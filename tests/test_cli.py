@@ -123,6 +123,19 @@ def test_boolean_ring_refuses_two_documents_on_stdout(tmp_path, capsys):
     assert err == "error: --json and --emit-tables - would both write to stdout\n"
 
 
+def test_boolean_ring_writes_the_ring_once_to_stdout(tmp_path, capsys):
+    # with --emit-tables - the ring file is stdout, so it is written there
+    # once and nothing else is: stdout reads back as that ring
+    from zdg.boolean_algebra import format_ring, parse_ring
+
+    path = tmp_path / "k2.zdg-graph"
+    path.write_text(format_graph(families.complete(2)))
+    code, out, _ = run(capsys, "boolean-ring", str(path), "--emit-tables", "-")
+    assert code == 0
+    assert out.count("zdg-ring 1") == 1
+    assert out == format_ring(parse_ring(out))
+
+
 def test_boolean_ring_searches_once(tmp_path, capsys, monkeypatch):
     import zdg.boolean_algebra as BA
 
@@ -174,6 +187,22 @@ def test_theorems_table_and_sweep(tmp_path, base_graph_file, capsys):
     payload = loads(out)
     jsonschema.validate(payload, _schema("theorems"))
     assert payload["counterexamples"] == 0 and payload["verdicts"]
+
+
+def test_theorems_sweep_works_out_graph_facts_once_per_request(tmp_path, capsys, monkeypatch):
+    import zdg.graph as G
+
+    calls = []
+    core = G.core
+    monkeypatch.setattr(G, "core", lambda g: calls.append(g) or core(g))
+    path = tmp_path / "p4.zdg-graph"
+    path.write_text(format_graph(families.two_star(1, 1)))
+    code, out, _ = run(capsys, "theorems", "--sweep", str(path), "--json")
+    assert code == 0 and len(loads(out)["verdicts"]) > 20
+    assert len(calls) == 1
+    # nothing is kept for the next request
+    code, _, _ = run(capsys, "theorems", "--sweep", str(path), "--json")
+    assert code == 0 and len(calls) == 2
 
 
 def test_theorems_rejects_invalid_table(tmp_path, capsys):

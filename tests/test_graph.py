@@ -262,6 +262,29 @@ def test_core_properties(g):
     assert has_cycle(g) == bool(edges)
 
 
+@given(graphs(max_n=8))
+def test_core_edges_match_bridge_oracle(g):
+    # an edge is in the core iff its ends stay connected without it
+    def off(u, v):
+        adj = list(g.adj)
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        return adj
+
+    want = {(u, v) for u, v in g.edges() if (reachable(off(u, v), u) >> v) & 1}
+    assert core(g) == (frozenset(x for e in want for x in e), frozenset(want))
+
+
+def test_core_of_a_large_two_star_and_a_long_cycle():
+    # 4,002 vertices, where work quadratic in the edges takes seconds; and
+    # a cycle deeper than the recursion limit
+    assert core(families.two_star(2000, 2000)) == (frozenset(), frozenset())
+    n = 5000
+    ring = from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+    verts, edges = core(ring)
+    assert verts == frozenset(range(n)) and len(edges) == n
+
+
 @given(graphs())
 def test_unique_determination_m_equivalence(g):
     # the m-variants never see degree-0 vertices, so the equivalence is

@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zdg import families
-from zdg.graph import diameter, is_connected
+from zdg import families, theorems
+from zdg.graph import diameter, is_connected, is_uniquely_determined
 from zdg.semigroup import (
     annihilator,
     assoc_violation_symmetric,
     check_axioms,
     closure_witness,
-    equivalence_class,
     is_boolean,
     is_ideal,
     is_reduced,
     is_subsemigroup,
-    lower_set,
     neighborhood,
     table_from_rows,
     zero_divisor_graph,
@@ -104,18 +102,30 @@ def test_boolean_and_reduced(fixture_tables):
     assert is_reduced(families.boolean_rpartite_table([3, 1]))
 
 
+def _classes(t):
+    """S_x (equal neighbourhoods) and S_<=x (contained ones) of every
+    nonzero x, from the facts the verifiers read."""
+    hoods = theorems.table_facts(t).hoods
+    return (
+        {x: {y for y in hoods if hoods[y] == hoods[x]} for x in hoods},
+        {x: {y for y in hoods if hoods[y] <= hoods[x]} for x in hoods},
+    )
+
+
 def test_equivalence_classes_of_rpartite():
     t = families.boolean_rpartite_table([2, 1])  # a11, a12 | a21
-    assert equivalence_class(t, 1) == frozenset({1, 2})
-    assert lower_set(t, 3) == frozenset({3})
-    with pytest.raises(ValueError):
-        equivalence_class(t, 0)
+    classes, lower = _classes(t)
+    assert classes[1] == {1, 2}
+    assert lower[3] == {3}
 
 
 def test_equivalence_class_trivial_when_uniquely_determined(fixture_tables):
-    t = fixture_tables[1]
-    for x in t.nonzero():
-        assert equivalence_class(t, x) == frozenset({x})
+    ud = [t for t in fixture_tables.values()
+          if is_uniquely_determined(theorems.table_facts(t).graph)]
+    assert len(ud) == 2  # fixtures 1 and 5
+    for t in ud:
+        classes, _ = _classes(t)
+        assert all(classes[x] == {x} for x in t.nonzero())
 
 
 def test_annihilators(fixture_tables):

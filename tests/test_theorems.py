@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
+import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from zdg import families, theorems
-from zdg.graph import from_edge_list
+from zdg import cli, families, theorems
+from zdg.graph import format_graph, from_edge_list
 from zdg.realize import BOOLEAN, PLAIN, realize_all
 from zdg.semigroup import table_from_rows, zero_divisor_graph
 
@@ -310,3 +312,73 @@ def test_verdict_serialization(fixture_tables):
     v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[5]), A1)
     d = v.to_dict()
     assert d["theorem"] == "cor_2_2" and d["hypotheses_met"] is True
+
+
+def _verifier_by_verifier(t):
+    """Every verdict of one table, each from a call of its verifier: the
+    reference for the verdicts the plan settles on the graph alone."""
+    f = theorems.table_facts(t)
+    elems = list(t.nonzero())
+    out = []
+    for x in elems:
+        for tx in theorems._thm_2_1_subsets(f, x):
+            out.append(theorems.verify_thm_2_1(f, x, tx))
+        out.append(theorems.verify_cor_2_2(f, x))
+        out.append(theorems.verify_prop_2_7(f, x))
+    out += [theorems.verify_thm_2_9(f, s, u) for s in elems for u in elems if s < u]
+    return out + [verify(f) for verify in (theorems.verify_prop_2_10, theorems.verify_thm_3_2,
+                                           theorems.verify_cor_3_3, theorems.verify_prop_3_6)]
+
+
+def test_plan_verdicts_match_table_by_table_sweep(connected_classes_upto_5, fixture_tables):
+    # the plan is built once per graph and settles what the graph alone
+    # decides; every table must get exactly what all_verdicts gives it alone
+    swept = 0
+    for g in connected_classes_upto_5:
+        for mode in (PLAIN, BOOLEAN):
+            tables = realize_all(g, mode).tables
+            verdicts_of = theorems.plan(g)
+            for t in tables:
+                assert verdicts_of(t) == theorems.all_verdicts(t), t.prod
+                if g.n <= 4:
+                    assert verdicts_of(t) == _verifier_by_verifier(t), t.prod
+            swept += len(tables)
+    assert swept == 7081
+    for t in fixture_tables.values():
+        assert theorems.all_verdicts(t) == _verifier_by_verifier(t), t.prod
+
+
+def test_sweep_matches_verifier_by_verifier_on_relabelings(tmp_path, capsys):
+    # two relabelings of K4 plus an end vertex, through the command line
+    base = families.m_nk(4, 1)
+    for seed in (1, 2):
+        perm = list(range(base.n))
+        random.Random(seed).shuffle(perm)
+        g = from_edge_list(base.n, [(perm[u], perm[v]) for u, v in base.edges()])
+        path = tmp_path / f"mnk41-{seed}.zdg-graph"
+        path.write_text(format_graph(g))
+        for mode in (PLAIN, BOOLEAN):
+            argv = ["theorems", "--sweep", str(path), "--json"]
+            assert cli.main(argv + (["--boolean"] if mode == BOOLEAN else [])) == 0
+            got = json.loads(capsys.readouterr().out)["verdicts"]
+            tables = realize_all(g, mode).tables
+            assert tables
+            want = [v.to_dict() for t in tables for v in _verifier_by_verifier(t)]
+            assert got == want
+
+
+def test_plan_refuses_a_table_of_another_graph():
+    k3 = from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
+    p3 = from_edge_list(3, [(0, 1), (1, 2)])
+    k3_table, p3_table = (realize_all(g, PLAIN).tables[0] for g in (k3, p3))
+    theorems.plan(k3)(k3_table)
+    with pytest.raises(ValueError, match="not its neighbours"):
+        theorems.plan(k3)(p3_table)  # a zero missing at an edge
+    with pytest.raises(ValueError, match="not its neighbours"):
+        theorems.plan(p3)(k3_table)  # a zero off the edges
+    # element 3 has no zero product and vertex 2 no neighbour
+    lone = table_from_rows([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]])
+    with pytest.raises(ValueError, match="element 3 is not a zero divisor"):
+        theorems.plan(from_edge_list(3, [(0, 1)]))(lone)
+    with pytest.raises(ValueError, match="2 nonzero elements, graph has 3"):
+        theorems.plan(k3)(realize_all(families.complete(2), PLAIN).tables[0])
