@@ -89,8 +89,13 @@ def _dumps(o, pad: str = "") -> str:
     raise TypeError(f"cannot write {type(o).__name__} as JSON")
 
 
-def _emit_json(payload: dict):
-    print(_dumps(payload))
+def _emit(payload: dict, as_json: bool):
+    """payload as JSON, or as one ``key: value`` line per item."""
+    if as_json:
+        print(_dumps(payload))
+    else:
+        for key, value in payload.items():
+            print(f"{key}: {value}")
 
 
 def _render_report(report: RZ.RealizationReport, names) -> str:
@@ -115,7 +120,7 @@ def _cmd_realize(args, oracle: bool = False) -> int:
     else:
         report = RZ.realize_all(g, mode, limit=args.limit, max_n=args.max_n)
     if args.json:
-        _emit_json(report.to_dict())
+        print(_dumps(report.to_dict()))
     else:
         sys.stdout.write(_render_report(report, g.names))
     return 0
@@ -141,11 +146,7 @@ def _cmd_props(args) -> int:
         "uniquely_complemented": G.is_uniquely_complemented(g),
         "meet_closed": G.neighborhood_meet_closed(g),
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _emit(payload, args.json)
     return 0
 
 
@@ -156,11 +157,7 @@ def _cmd_boolean_ring(args) -> int:
     g = _load_graph(args.graph)
     conditions = BA.check_boolean_graph_conditions(g, max_n=args.max_n)
     if args.check_only or not conditions.all_hold:
-        if args.json:
-            _emit_json(conditions.to_dict())
-        else:
-            for key, value in conditions.to_dict().items():
-                print(f"{key}: {value}")
+        _emit(conditions.to_dict(), args.json)
         return 0 if conditions.all_hold else 1
     ring = BA.ring_from_realization(g, conditions.realization)
     if args.emit_tables:
@@ -173,7 +170,7 @@ def _cmd_boolean_ring(args) -> int:
             "add": [list(ring.add[i][i:]) for i in range(ring.size)],
             "mul": [list(ring.mul[i][i:]) for i in range(ring.size)],
         }
-        _emit_json(payload)
+        print(_dumps(payload))
     elif args.emit_tables != "-":
         print(f"boolean ring with {ring.size} elements")
         sys.stdout.write(BA.format_ring(ring))
@@ -233,10 +230,10 @@ def _cmd_theorems(args) -> int:
         verdicts = TH.all_verdicts(t)
     counter = TH.counterexamples(verdicts)
     if args.json:
-        _emit_json({
+        print(_dumps({
             "verdicts": [v.to_dict() for v in verdicts],
             "counterexamples": len(counter),
-        })
+        }))
     else:
         for v in verdicts:
             if v.is_counterexample:

@@ -69,62 +69,45 @@ def m_nk(n: int, k: int) -> Graph:
     return from_edge_list(n + k, edges, names)
 
 
-def _base_plus_pendants(groups: list[tuple[int, str, int]]) -> Graph:
-    """Square-plus-triangle base with pendant groups (anchor, prefix, count)."""
-    edges = list(_BASE_EDGES)
-    names = list(_BASE_NAMES)
-    nxt = 5
+def _with_pendants(edges, names, groups) -> Graph:
+    """The graph on the named vertices with edges, plus pendant groups
+    (anchor, prefix, count): count new vertices prefix1, prefix2, ... joined
+    to anchor, appended in order."""
+    edges = list(edges)
+    names = list(names)
     for anchor, prefix, count in groups:
         if count < 0:
             raise ValueError("pendant counts must be >= 0")
         for i in range(count):
-            edges.append((anchor, nxt))
+            edges.append((anchor, len(names)))
             names.append(f"{prefix}{i + 1}")
-            nxt += 1
-    return from_edge_list(nxt, edges, names)
+    return from_edge_list(len(names), edges, names)
 
 
 def fig1(u: int, v: int) -> Graph:
     """Base graph with u pendants on a1 and v pendants on a2."""
-    return _base_plus_pendants([(0, "u", u), (1, "v", v)])
+    return _with_pendants(_BASE_EDGES, _BASE_NAMES, [(0, "u", u), (1, "v", v)])
 
 
 def fig2(u: int) -> Graph:
     """Base graph with u pendants on a3 (the triangle-only vertex)."""
-    return _base_plus_pendants([(2, "u", u)])
+    return _with_pendants(_BASE_EDGES, _BASE_NAMES, [(2, "u", u)])
 
 
 def fig3(u: int) -> Graph:
     """Base graph with u pendants on x1 (a square-only vertex)."""
-    return _base_plus_pendants([(3, "u", u)])
+    return _with_pendants(_BASE_EDGES, _BASE_NAMES, [(3, "u", u)])
 
 
 def fig4(u: int, v: int, w: int) -> Graph:
     """Triangle a1-a2-a3 with u, v, w pendants on the three corners."""
-    if min(u, v, w) < 0:
-        raise ValueError("pendant counts must be >= 0")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    names = ["a1", "a2", "a3"]
-    nxt = 3
-    for anchor, prefix, count in ((0, "x", u), (1, "y", v), (2, "z", w)):
-        for i in range(count):
-            edges.append((anchor, nxt))
-            names.append(f"{prefix}{i + 1}")
-            nxt += 1
-    return from_edge_list(nxt, edges, names)
+    return _with_pendants([(0, 1), (0, 2), (1, 2)], ["a1", "a2", "a3"],
+                          [(0, "x", u), (1, "y", v), (2, "z", w)])
 
 
 def two_star(m: int, n: int) -> Graph:
     """Two stars with m and n leaves and one edge joining the centers."""
-    if m < 0 or n < 0:
-        raise ValueError("leaf counts must be >= 0")
-    edges = [(0, 1)]
-    edges += [(0, 2 + i) for i in range(m)]
-    edges += [(1, 2 + m + j) for j in range(n)]
-    names = ["a", "b"] + [f"x{i + 1}" for i in range(m)] + [
-        f"y{j + 1}" for j in range(n)
-    ]
-    return from_edge_list(2 + m + n, edges, names)
+    return _with_pendants([(0, 1)], ["a", "b"], [(0, "x", m), (1, "y", n)])
 
 
 def attach_ends(g: Graph, assignments) -> Graph:

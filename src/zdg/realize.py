@@ -9,9 +9,11 @@ The constraint system on the (n+1) x (n+1) symmetric table:
   * diagonal entries are free (boolean mode pins x*x = x);
   * the whole table is associative.
 
-Backtracking with constraint propagation does the real work; a naive
-brute-force enumerator over all symmetric tables (n <= 4) serves as an
-independent oracle.
+Backtracking with constraint propagation does the real work.  Each complete
+table is checked again at the leaf against the definitions in zdg.semigroup
+(associativity, the zero-divisor graph, idempotence), not against the
+search's own constraints.  A naive brute-force enumerator over all symmetric
+tables (n <= 4) serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .graph import Graph, automorphisms, bits, is_connected
 from .semigroup import (
     MulTable,
     assoc_violation_symmetric,
+    is_boolean,
     table_from_rows,
+    zero_divisor_adj,
     zero_divisor_graph,
 )
 
@@ -390,23 +394,19 @@ def _pick_cell(state: SearchState) -> tuple[int, int] | None:
 
 def _verify_solution(state: SearchState, g: Graph) -> MulTable:
     """Check a complete table independently of the propagation that built
-    it: associative, every nonzero element a zero divisor, products zero at
-    exactly the edges of g, and idempotent in boolean mode."""
+    it: associative, its zero-divisor graph (zero_divisor_adj, so every
+    nonzero element a zero divisor) is g, and idempotent in boolean mode."""
     t = state.snapshot()
     bad = assoc_violation_symmetric(t.prod)
     if bad is not None:
         raise AssertionError(f"search produced a non-associative table at {bad}")
-    for x in t.nonzero():
-        zeros = 0
-        for y, v in enumerate(t.prod[x]):
-            if v == 0:
-                zeros |= 1 << y
-        zeros &= ~1  # element ids only
-        if not zeros:
-            raise AssertionError(f"search produced element {x}, not a zero divisor")
-        if zeros & ~(1 << x) != g.adj[x - 1] << 1:
-            raise AssertionError("search produced a table with the wrong graph")
-    if state.mode == BOOLEAN and any(t.prod[x][x] != x for x in t.nonzero()):
+    try:
+        adj = zero_divisor_adj(t)
+    except ValueError as exc:
+        raise AssertionError(f"search produced a table where {exc}") from None
+    if adj != g.adj:
+        raise AssertionError("search produced a table with the wrong graph")
+    if state.mode == BOOLEAN and not is_boolean(t):
         raise AssertionError("search produced a non-boolean table in boolean mode")
     return t
 

@@ -120,30 +120,31 @@ def assoc_violation_symmetric(prod) -> tuple[int, int, int] | None:
     return None
 
 
-def zero_divisor_graph(t: MulTable, names=None) -> Graph:
-    """The graph on vertices 0..n-1 (vertex e-1 for element e) with an edge
-    x-y iff the product of the two distinct elements is zero.
+def zero_divisor_adj(t: MulTable) -> tuple[int, ...]:
+    """Gamma(S) as neighbour masks, one per vertex (vertex e-1 for element
+    e): bit y-1 of mask x-1 is set iff x != y and x*y = 0.  Rows are read
+    whole, so zero products that are not symmetric give masks that are not.
 
-    Every nonzero element must be a zero divisor (some nonzero partner,
-    possibly itself, multiplies to zero); offenders raise ValueError.
+    Raises ValueError at the first nonzero element that is not a zero
+    divisor (no nonzero partner, itself included, with a zero product).
     """
-    p = t.prod
-    adj = [0] * t.n
+    adj = []
     for x in t.nonzero():
-        if all(p[x][y] != 0 for y in t.nonzero()):
+        zeros = 0
+        for y, v in enumerate(t.prod[x]):
+            if v == 0:
+                zeros |= 1 << y
+        zeros >>= 1  # vertex ids
+        if not zeros:
             raise ValueError(f"element {x} is not a zero divisor")
-        for y in range(x + 1, t.n + 1):
-            if p[x][y] == 0:
-                adj[x - 1] |= 1 << (y - 1)
-                adj[y - 1] |= 1 << (x - 1)
-    return Graph(t.n, tuple(adj), tuple(names) if names is not None else None)
+        adj.append(zeros & ~(1 << (x - 1)))
+    return tuple(adj)
 
 
-def neighborhood(t: MulTable, x: int) -> ElementSubset:
-    """N(x) in the zero-divisor graph, as element ids."""
-    if not 1 <= x <= t.n:
-        raise ValueError(f"element {x} out of range 1..{t.n}")
-    return frozenset(y for y in t.nonzero() if y != x and t.prod[x][y] == 0)
+def zero_divisor_graph(t: MulTable, names=None) -> Graph:
+    """Gamma(S) as a Graph; raises ValueError where zero_divisor_adj does,
+    and where the zero products are not symmetric."""
+    return Graph(t.n, zero_divisor_adj(t), tuple(names) if names is not None else None)
 
 
 def closure_witness(t: MulTable, sub: Iterable[int]) -> tuple[int, int, int] | None:
@@ -188,21 +189,22 @@ def is_boolean(t: MulTable) -> bool:
     return all(t.prod[x][x] == x for x in t.elements())
 
 
-def nilpotent_witness(t: MulTable) -> int | None:
-    """A nonzero nilpotent element, or None.
+def is_nilpotent(t: MulTable, x: int) -> bool:
+    """Some power of x is zero.
 
-    Repeated squaring reaches zero iff the element is nilpotent: x^k = 0
-    implies x^(2^m) = 0 once 2^m >= k, and the squaring orbit is finite.
+    Repeated squaring reaches zero iff x is nilpotent: x^k = 0 implies
+    x^(2^m) = 0 once 2^m >= k, and the squaring orbit is finite.
     """
-    for x in t.nonzero():
-        seen = set()
-        y = x
-        while y not in seen:
-            seen.add(y)
-            y = t.prod[y][y]
-            if y == 0:
-                return x
-    return None
+    seen = set()
+    while x and x not in seen:
+        seen.add(x)
+        x = t.prod[x][x]
+    return x == 0
+
+
+def nilpotent_witness(t: MulTable) -> int | None:
+    """A nonzero nilpotent element, or None."""
+    return next((x for x in t.nonzero() if is_nilpotent(t, x)), None)
 
 
 def is_reduced(t: MulTable) -> bool:

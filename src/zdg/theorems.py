@@ -9,12 +9,13 @@ rather than true or false.
 
 A verifier reads a table through TableFacts: the facts of its zero-divisor
 graph G (cycle flag, every T_x and N(x), the core), which graph_facts works
-out from G alone, bound to the table by bind, which checks that G is the
-table's zero-divisor graph.  Many hypotheses depend on G alone, so plan(g)
-lays out, once per graph, the verdicts of every table realizing g: an
-instance whose hypotheses already fail on g is settled for all of them, and
-only the others call a verifier per table.  all_verdicts(t) is the plan of
-t's own graph, applied to t.
+out from G alone, bound to the table by bind, which checks G against the
+table's zero-divisor graph.  That graph, idempotence and nilpotence are
+defined once, in zdg.semigroup, and read from there.  Many hypotheses
+depend on G alone, so plan(g) lays out, once per graph, the verdicts of
+every table realizing g: an instance whose hypotheses already fail on g is
+settled for all of them, and only the others call a verifier per table.
+all_verdicts(t) is the plan of t's own graph, applied to t.
 """
 
 from __future__ import annotations
@@ -83,21 +84,16 @@ def graph_facts(g: G.Graph) -> GraphFacts:
 
 def bind(f: GraphFacts, t: MulTable) -> TableFacts:
     """t with the facts f.  Raises ValueError unless f's graph is t's
-    zero-divisor graph: every nonzero element is a zero divisor, and its
-    zero products with the other nonzero elements are its neighbours."""
+    zero-divisor graph as zero_divisor_adj defines it: a nonzero element
+    that is not a zero divisor is reported before any element whose zero
+    products are not its neighbours."""
     g = f.graph
     if t.n != g.n:
         raise ValueError(f"table has {t.n} nonzero elements, graph has {g.n} vertices")
-    for x in t.nonzero():
-        zeros = 0
-        for y, v in enumerate(t.prod[x]):
-            if v == 0:
-                zeros |= 1 << y
-        zeros >>= 1  # vertex ids
-        if not zeros:
-            raise ValueError(f"element {x} is not a zero divisor")
-        if zeros & ~(1 << (x - 1)) != g.adj[x - 1]:
-            raise ValueError(f"element {x}: its zero products are not its neighbours in the graph")
+    adj = SG.zero_divisor_adj(t)
+    if adj != g.adj:
+        x = next(v for v in range(g.n) if adj[v] != g.adj[v]) + 1
+        raise ValueError(f"element {x}: its zero products are not its neighbours in the graph")
     return TableFacts(f.graph, f.has_cycle, f.pendants, f.hoods, f.core, table=t)
 
 
@@ -267,23 +263,17 @@ def verify_thm_2_9(f: TableFacts, s: int, u: int) -> TheoremVerdict:
                 f"{bad[0]}*{bad[1]}={bad[2]} leaves T_s | {{0}}",
             )
         for y in sorted(ts):
-            z = y
-            seen = set()
-            while z not in seen:
-                seen.add(z)
-                z = t.prod[z][z]
-                if z == 0:
-                    return TheoremVerdict(
-                        "thm_2_9", name, True, False, f"{y} is nilpotent in T_s"
-                    )
+            if SG.is_nilpotent(t, y):
+                return TheoremVerdict("thm_2_9", name, True, False, f"{y} is nilpotent in T_s")
     return TheoremVerdict("thm_2_9", name, True, True)
 
 
 def verify_prop_2_10(f: TableFacts) -> TheoremVerdict:
     """If the graph is m-uniquely determined for the maximal degree m, then
-    each maximal-degree idempotent s has Ss = {0, s}."""
+    each maximal-degree idempotent s has Ss = {0, s}.  A graph with no
+    vertex has no such s, so the claim is not applicable there."""
     t, g = f.table, f.graph
-    m = max(g.degree(v) for v in range(g.n))
+    m = max((g.degree(v) for v in range(g.n)), default=0)
     cand = [
         v + 1 for v in range(g.n) if g.degree(v) == m and t.prod[v + 1][v + 1] == v + 1
     ]

@@ -216,6 +216,17 @@ def test_theorems_rejects_invalid_table(tmp_path, capsys):
     assert code == 2 and "zero divisor" in err
 
 
+def test_theorems_on_the_zero_semigroup(tmp_path, capsys):
+    # {0} is a semigroup whose graph has no vertex: no maximal degree, so
+    # the maximal-degree claim does not apply; the others are checked as usual
+    path = tmp_path / "zero.zdg-table"
+    path.write_text("zdg-table 1\nn 0\n")
+    code, out, err = run(capsys, "theorems", str(path))
+    assert code == 0 and err == ""
+    assert "[n/a] prop_2_10(m=0, candidates=[])" in out.splitlines()
+    assert out.endswith("counterexamples: 0\n")
+
+
 def test_file_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "realize", str(tmp_path / "missing.graph"))
     assert code == 2

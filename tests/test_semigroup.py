@@ -13,12 +13,15 @@ from zdg.semigroup import (
     closure_witness,
     is_boolean,
     is_ideal,
+    is_nilpotent,
     is_reduced,
     is_subsemigroup,
-    neighborhood,
+    nilpotent_witness,
     table_from_rows,
+    zero_divisor_adj,
     zero_divisor_graph,
 )
+from zdg.realize import BOOLEAN, PLAIN, realize_all
 
 # element ids in the reference tables: a1..a3 = 1..3, x1 = 4, x2 = 5
 A1, A2, A3, X1, X2 = 1, 2, 3, 4, 5
@@ -66,6 +69,27 @@ def test_zero_divisor_graphs_of_fixtures(fixture_tables):
     assert g5.edges() == [(0, 1), (0, 2), (0, 3), (1, 2)]
 
 
+@given(symmetric_tables())
+def test_zero_divisor_adj_is_the_zero_product_relation(t):
+    # Gamma(S) from its definition: x-y for distinct nonzero x, y with xy = 0
+    nonzero = range(1, t.n + 1)
+    if any(all(t.prod[x][y] != 0 for y in nonzero) for x in nonzero):
+        with pytest.raises(ValueError, match="is not a zero divisor"):
+            zero_divisor_adj(t)
+        return
+    want = {(x, y) for x in nonzero for y in nonzero if x != y and t.prod[x][y] == 0}
+    adj = zero_divisor_adj(t)
+    got = {(x, y) for x in nonzero for y in nonzero if adj[x - 1] >> (y - 1) & 1}
+    assert got == want
+
+
+def test_zero_divisor_graph_rejects_non_commutative_table():
+    # 1*3 = 0 but 3*1 = 1: the zero products of 1 and 3 disagree
+    rows = [[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 1, 1, 0]]
+    with pytest.raises(ValueError, match="not symmetric"):
+        zero_divisor_graph(table_from_rows(rows))
+
+
 def test_zero_divisor_graph_rejects_non_divisor():
     rows = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]  # element 2 never hits zero
     with pytest.raises(ValueError, match="element 1 is not a zero divisor"):
@@ -102,6 +126,33 @@ def test_boolean_and_reduced(fixture_tables):
     assert is_reduced(families.boolean_rpartite_table([3, 1]))
 
 
+def _powers_reach_zero(t, x):
+    """x, x^2, x^3, ... by repeated multiplication; x^(k+1) depends on x^k
+    alone, so if no zero shows among the first n + 1 powers, none ever
+    does."""
+    y = x
+    for _ in range(t.n + 1):
+        if y == 0:
+            return True
+        y = t.prod[y][x]
+    return False
+
+
+def test_is_nilpotent_matches_powers(fixture_tables, connected_classes_upto_5):
+    tables = list(fixture_tables.values())
+    for g in connected_classes_upto_5:
+        if g.n <= 4:
+            for mode in (PLAIN, BOOLEAN):
+                tables += realize_all(g, mode).tables
+    nilpotent = 0
+    for t in tables:
+        want = [x for x in t.nonzero() if _powers_reach_zero(t, x)]
+        assert [x for x in t.nonzero() if is_nilpotent(t, x)] == want
+        assert nilpotent_witness(t) == (want[0] if want else None)
+        nilpotent += len(want)
+    assert nilpotent and nilpotent < sum(t.n for t in tables)
+
+
 def _classes(t):
     """S_x (equal neighbourhoods) and S_<=x (contained ones) of every
     nonzero x, from the facts the verifiers read."""
@@ -135,10 +186,15 @@ def test_annihilators(fixture_tables):
     assert annihilator(t1, {X1, A2}) == frozenset({0, A1, X2})
 
 
+def _mask(*elements):
+    """The vertex mask of a set of elements (vertex e - 1 for element e)."""
+    return sum(1 << (e - 1) for e in elements)
+
+
 def test_neighborhood(fixture_tables):
-    t1 = fixture_tables[1]
-    assert neighborhood(t1, A3) == frozenset({A1, A2})
-    assert neighborhood(t1, X1) == frozenset({A1, X2})
+    adj = zero_divisor_graph(fixture_tables[1]).adj
+    assert adj[A3 - 1] == _mask(A1, A2)
+    assert adj[X1 - 1] == _mask(A1, X2)
 
 
 def test_realized_graphs_connected_small_diameter(fixture_tables):
