@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import _MAX_COUNT, TooLargeError, _check_name, _LineReader
-from .graph import Graph, is_connected, is_uniquely_determined, isomorphisms
+from .graph import Graph, hood_classes, is_connected, is_uniquely_determined, isomorphisms
 from .graph import is_uniquely_complemented, neighborhood_meet_closed
 from .realize import BOOLEAN, DEFAULT_MAX_N, realize_all
 from .semigroup import MulTable, is_boolean, zero_divisor_graph
@@ -71,12 +71,10 @@ def check_boolean_graph_conditions(g: Graph, max_n: int = DEFAULT_MAX_N) -> Bool
     witnesses = []
     ud = is_uniquely_determined(g)
     if not ud:
-        seen: dict[int, int] = {}
-        for v in range(g.n):
-            if g.adj[v] in seen:
-                witnesses.append(f"N({seen[g.adj[v]]}) = N({v})")
-                break
-            seen[g.adj[v]] = v
+        # the first vertex whose neighborhood an earlier vertex has, paired
+        # with the first vertex that has it
+        v, u = min((vs[1], vs[0]) for vs in hood_classes(g).values() if len(vs) > 1)
+        witnesses.append(f"N({u}) = N({v})")
     uc = is_uniquely_complemented(g)
     if not uc:
         witnesses.append("some vertex lacks a unique perpendicular neighborhood")

@@ -129,7 +129,8 @@ def diameter(g: Graph) -> int | None:
     """Graph diameter, or None when the graph is disconnected."""
     if g.n == 0 or not is_connected(g):
         return None
-    return max(max(bfs_distances(g, v)) for v in range(g.n))
+    # twins are equally far from every other vertex, and 2 apart
+    return max(max(bfs_distances(g, vs[0])) for vs in hood_classes(g).values())
 
 
 def component_count(g: Graph) -> int:
@@ -206,27 +207,26 @@ def is_internal_vertex(g: Graph, v: int) -> bool:
     return all(g.degree(u) != 1 for u in bits(g.adj[v]))
 
 
+def hood_classes(g: Graph) -> dict[int, list[int]]:
+    """The vertices of each distinct neighbour mask, in ascending order; the
+    masks come in order of their first vertex."""
+    classes: dict[int, list[int]] = {}
+    for v, mask in enumerate(g.adj):
+        classes.setdefault(mask, []).append(v)
+    return classes
+
+
 def is_m_uniquely_determined(g: Graph, m: int) -> bool:
     """No two distinct vertices of degree m share their neighborhood."""
     if not 1 <= m <= g.n:
         raise ValueError(f"m={m} out of range 1..{g.n}")
-    seen: dict[int, int] = {}
-    for v in range(g.n):
-        if g.degree(v) == m:
-            if g.adj[v] in seen:
-                return False
-            seen[g.adj[v]] = v
-    return True
+    return all(len(vs) == 1 for mask, vs in hood_classes(g).items()
+               if mask.bit_count() == m)
 
 
 def is_uniquely_determined(g: Graph) -> bool:
     """No two distinct vertices share their neighborhood."""
-    return len({g.adj[v] for v in range(g.n)}) == g.n
-
-
-def perp(g: Graph, x: int, y: int) -> bool:
-    """x is perpendicular to y: distinct, adjacent, edge in no triangle."""
-    return x != y and g.has_edge(x, y) and not (g.adj[x] & g.adj[y])
+    return len(hood_classes(g)) == g.n
 
 
 def perp_partners(g: Graph, x: int) -> list[int]:
@@ -245,20 +245,20 @@ def is_uniquely_complemented(g: Graph) -> bool:
         partners = perp_partners(g, x)
         if not partners:
             return False
-        if len({g.adj[y] for y in partners}) > 1:
+        if any(g.adj[y] != g.adj[partners[0]] for y in partners[1:]):
             return False
     return True
 
 
 def neighborhood_meet_closed(g: Graph) -> bool:
     """Whenever N(x) & N(y) is nonempty, some vertex z has exactly that
-    neighborhood."""
-    hoods = set(g.adj)
-    for x in range(g.n):
-        for y in range(x, g.n):
-            meet = g.adj[x] & g.adj[y]
-            if meet and meet not in hoods:
-                return False
+    neighborhood.  Twins meet in their own neighborhood, so only pairs of
+    distinct classes are tested."""
+    hoods = hood_classes(g)
+    for a, b in combinations(hoods, 2):
+        meet = a & b
+        if meet and meet not in hoods:
+            return False
     return True
 
 

@@ -22,8 +22,6 @@ from typing import Iterable
 from .errors import _MAX_COUNT, FormatError, _LineReader
 from .graph import Graph
 
-ElementSubset = frozenset[int]
-
 
 @dataclass(frozen=True)
 class MulTable:
@@ -180,10 +178,6 @@ def ideal_witness(
     return None
 
 
-def is_ideal(t: MulTable, sub: Iterable[int], within: Iterable[int]) -> bool:
-    return ideal_witness(t, sub, within) is None
-
-
 def is_boolean(t: MulTable) -> bool:
     """Every element is idempotent."""
     return all(t.prod[x][x] == x for x in t.elements())
@@ -209,15 +203,6 @@ def nilpotent_witness(t: MulTable) -> int | None:
 
 def is_reduced(t: MulTable) -> bool:
     return nilpotent_witness(t) is None
-
-
-def annihilator(t: MulTable, xs: Iterable[int]) -> ElementSubset:
-    """Elements whose product with every member of xs is zero (all of S for
-    empty xs; always contains 0)."""
-    members = list(xs)
-    return frozenset(
-        s for s in t.elements() if all(t.prod[s][x] == 0 for x in members)
-    )
 
 
 # --- text format ----------------------------------------------------------

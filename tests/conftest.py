@@ -7,13 +7,13 @@ predicates via frozenset scans.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import settings
 
 from zdg import families
-from zdg.graph import Graph, bits, connected_graphs, is_isomorphic
+from zdg.graph import Graph, connected_graphs, from_edge_list, is_isomorphic
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -61,8 +61,13 @@ def oracle_automorphisms(g: Graph) -> set[tuple[int, ...]]:
     return out
 
 
+def oracle_hoods(g: Graph) -> list[frozenset[int]]:
+    """Each vertex's neighbours, read off one edge test per pair."""
+    return [frozenset(u for u in range(g.n) if g.has_edge(v, u)) for v in range(g.n)]
+
+
 def oracle_meet_closed(g: Graph) -> bool:
-    hoods = [frozenset(bits(g.adj[v])) for v in range(g.n)]
+    hoods = oracle_hoods(g)
     pool = set(hoods)
     for x in range(g.n):
         for y in range(x, g.n):
@@ -70,6 +75,43 @@ def oracle_meet_closed(g: Graph) -> bool:
             if m and m not in pool:
                 return False
     return True
+
+
+def oracle_m_uniquely_determined(g: Graph, m: int) -> bool:
+    """No two distinct vertices with m neighbours have the same ones."""
+    hoods = oracle_hoods(g)
+    return not any(
+        len(hoods[x]) == m and hoods[x] == hoods[y]
+        for x in range(g.n)
+        for y in range(x + 1, g.n)
+    )
+
+
+def oracle_uniquely_determined(g: Graph) -> bool:
+    hoods = oracle_hoods(g)
+    return all(hoods[x] != hoods[y] for x in range(g.n) for y in range(x + 1, g.n))
+
+
+def oracle_uniquely_complemented(g: Graph) -> bool:
+    """Every x has a neighbour y with no common neighbour (x ⊥ y), and all
+    such y have one neighbourhood."""
+    hoods = oracle_hoods(g)
+    for x in range(g.n):
+        partners = {hoods[y] for y in hoods[x] if not hoods[x] & hoods[y]}
+        if len(partners) != 1:
+            return False
+    return True
+
+
+def labeled_graphs(max_n: int) -> list[Graph]:
+    """Every labeled graph on 1..max_n vertices, connected or not."""
+    out = []
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if (mask >> i) & 1]
+            out.append(from_edge_list(n, edges))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -48,7 +48,11 @@ def test_conditions_two_star_fails_realizability():
 def test_condition_witnesses_present():
     report = check_boolean_graph_conditions(families.complete_bipartite(2, 2))
     assert not report.uniquely_determined
-    assert any("N(" in w for w in report.witnesses)
+    assert report.witnesses[0] == "N(0) = N(1)"
+    # the twin witness is the first vertex whose neighbourhood an earlier
+    # vertex has (2, after 1), not the first pair of the first class (0, 3)
+    square = from_edge_list(4, [(0, 1), (1, 3), (3, 2), (2, 0)])
+    assert check_boolean_graph_conditions(square).witnesses[0] == "N(1) = N(2)"
 
 
 def f2k_table(k):

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    labeled_graphs,
     oracle_automorphisms,
     oracle_connected,
     oracle_diameter,
     oracle_distances,
+    oracle_m_uniquely_determined,
     oracle_meet_closed,
+    oracle_uniquely_complemented,
+    oracle_uniquely_determined,
 )
-from zdg import families
+from zdg import cli, families
 from zdg.errors import TooLargeError
 from zdg.graph import (
     Graph,
@@ -20,6 +26,7 @@ from zdg.graph import (
     core,
     diameter,
     end_vertices,
+    format_graph,
     from_edge_list,
     graph_props,
     has_cycle,
@@ -32,7 +39,6 @@ from zdg.graph import (
     is_uniquely_determined,
     neighborhood_meet_closed,
     pendant_set,
-    perp,
     reachable,
 )
 from zdg.realize import BOOLEAN, PLAIN, realize_all
@@ -45,6 +51,15 @@ def graphs(draw, max_n=6):
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
     edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
     return from_edge_list(n, edges)
+
+
+def on_every_graph_upto_5(test):
+    """Also run a hypothesis test on each of the 1,099 labeled graphs on up
+    to 5 vertices, as explicit examples: random draws rarely hold the
+    twin-heavy graphs that neighbourhood classes collapse."""
+    for g in labeled_graphs(5):
+        test = example(g)(test)
+    return test
 
 
 BASE = families.fig1(0, 0)  # square a1-x1-x2-a2 plus triangle a1-a2-a3
@@ -144,7 +159,6 @@ def test_complementation():
     assert is_uniquely_complemented(from_edge_list(2, [(0, 1)]))
     assert not is_complemented(families.complete(3))
     assert is_uniquely_complemented(_gamma_f2_3())
-    assert perp(BASE, 2, 0) is False  # a3-a1 lies in the triangle
 
 
 def test_meet_closure():
@@ -234,6 +248,7 @@ def test_graph_props_bundle():
 
 
 @given(graphs())
+@on_every_graph_upto_5
 def test_connectivity_and_diameter_match_oracle(g):
     assert is_connected(g) == oracle_connected(g)
     assert diameter(g) == oracle_diameter(g)
@@ -285,6 +300,27 @@ def test_core_of_a_large_two_star_and_a_long_cycle():
     assert verts == frozenset(range(n)) and len(edges) == n
 
 
+def test_props_of_a_large_two_star(tmp_path, capsys):
+    # 4,000 leaves in two neighbourhood classes: work per vertex rather than
+    # per class takes seconds here
+    path = tmp_path / "two-star.zdg-graph"
+    path.write_text(format_graph(families.two_star(2000, 2000)))
+    assert cli.main(["props", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 4002,
+        "connected": True,
+        "diameter": 3,
+        "has_cycle": False,
+        "core_vertices": [],
+        "core_edges": [],
+        "end_vertices": list(range(2, 4002)),
+        "uniquely_determined": False,
+        "complemented": True,
+        "uniquely_complemented": False,
+        "meet_closed": True,
+    }
+
+
 @given(graphs())
 def test_unique_determination_m_equivalence(g):
     # the m-variants never see degree-0 vertices, so the equivalence is
@@ -295,6 +331,15 @@ def test_unique_determination_m_equivalence(g):
     assert expected == all(
         is_m_uniquely_determined(g, m) for m in range(1, g.n + 1)
     )
+
+
+@given(graphs())
+@on_every_graph_upto_5
+def test_neighbourhood_predicates_match_oracles(g):
+    assert is_uniquely_determined(g) == oracle_uniquely_determined(g)
+    for m in range(1, g.n + 1):
+        assert is_m_uniquely_determined(g, m) == oracle_m_uniquely_determined(g, m)
+    assert is_uniquely_complemented(g) == oracle_uniquely_complemented(g)
 
 
 @given(graphs(max_n=5))
@@ -311,6 +356,7 @@ def test_automorphisms_form_a_group(g):
 
 
 @given(graphs(max_n=5))
+@on_every_graph_upto_5
 def test_meet_closure_matches_oracle(g):
     assert neighborhood_meet_closed(g) == oracle_meet_closed(g)
 

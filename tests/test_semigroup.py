@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from zdg import families, theorems
 from zdg.graph import diameter, is_connected, is_uniquely_determined
 from zdg.semigroup import (
-    annihilator,
     assoc_violation_symmetric,
     check_axioms,
     closure_witness,
+    ideal_witness,
     is_boolean,
-    is_ideal,
     is_nilpotent,
     is_reduced,
     is_subsemigroup,
@@ -114,9 +113,10 @@ def test_subsemigroup_checks(fixture_tables):
 
 def test_ideal_checks(fixture_tables):
     t1 = fixture_tables[1]
-    assert is_ideal(t1, {0}, {0, A1})
+    assert ideal_witness(t1, {0}, {0, A1}) is None
+    assert ideal_witness(t1, {0, A3}, {0, A3, X1}) == (X1, A3, A2)
     with pytest.raises(ValueError, match="contained"):
-        is_ideal(t1, {X1}, {0, A1})
+        ideal_witness(t1, {X1}, {0, A1})
 
 
 def test_boolean_and_reduced(fixture_tables):
@@ -179,13 +179,6 @@ def test_equivalence_class_trivial_when_uniquely_determined(fixture_tables):
         assert all(classes[x] == {x} for x in t.nonzero())
 
 
-def test_annihilators(fixture_tables):
-    t1 = fixture_tables[1]
-    assert annihilator(t1, {X1}) == frozenset({0, A1, X2})
-    assert annihilator(t1, {}) == frozenset(range(6))
-    assert annihilator(t1, {X1, A2}) == frozenset({0, A1, X2})
-
-
 def _mask(*elements):
     """The vertex mask of a set of elements (vertex e - 1 for element e)."""
     return sum(1 << (e - 1) for e in elements)
@@ -210,13 +203,3 @@ def test_fast_associativity_matches_report(t):
     fast = assoc_violation_symmetric(t.prod) is None
     slow = not any(v.kind == "associativity" for v in check_axioms(t))
     assert fast == slow
-
-
-@given(symmetric_tables(max_n=3))
-def test_annihilator_is_intersection(t):
-    full = frozenset(t.elements())
-    xs = [x for x in t.nonzero()][:2]
-    expected = full
-    for x in xs:
-        expected &= annihilator(t, {x})
-    assert annihilator(t, xs) == expected
