@@ -2,11 +2,10 @@
 search, structure predicates, boolean graph recognition, and boolean ring
 reconstruction."""
 
-from .graph import Graph, from_edge_list, graph_props
+from .graph import Graph, from_edge_list
 from .realize import (
     RealizationReport,
     brute_force_realize,
-    classify_uniqueness,
     realize_all,
 )
 from .semigroup import MulTable, check_axioms, zero_divisor_graph
@@ -19,9 +18,7 @@ __all__ = [
     "RealizationReport",
     "brute_force_realize",
     "check_axioms",
-    "classify_uniqueness",
     "from_edge_list",
-    "graph_props",
     "realize_all",
     "zero_divisor_graph",
     "__version__",

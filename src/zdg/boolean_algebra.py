@@ -306,7 +306,7 @@ def ring_isomorphic(r1: BooleanRing, r2: BooleanRing, max_size: int = 16):
         raise TooLargeError(f"ring isomorphism search capped at {max_size} elements")
     g1, g2 = ring_zero_divisor_graph(r1), ring_zero_divisor_graph(r2)
     pairs = [(a, b) for a in range(r1.size) for b in range(r1.size)]
-    for p in isomorphisms(g1, g2, max_n=max_size):
+    for p in isomorphisms(g1, g2):
         image = (0, *(w + 1 for w in p), r2.one)
         if len(image) == r1.size and all(
             image[r1.add[a][b]] == r2.add[image[a]][image[b]]

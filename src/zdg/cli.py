@@ -132,18 +132,20 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_props(args) -> int:
     g = _load_graph(args.graph)
-    props = G.graph_props(g)
+    core_vertices, core_edges = G.core(g)
+    # uniquely complemented implies complemented
+    unique = G.is_uniquely_complemented(g)
     payload = {
         "n": g.n,
-        "connected": props.connected,
-        "diameter": props.diameter,
-        "has_cycle": props.has_cycle,
-        "core_vertices": sorted(props.core_vertices),
-        "core_edges": [list(e) for e in sorted(props.core_edges)],
-        "end_vertices": sorted(props.end_vertices),
+        "connected": G.is_connected(g),
+        "diameter": G.diameter(g),
+        "has_cycle": G.has_cycle(g),
+        "core_vertices": sorted(core_vertices),
+        "core_edges": [list(e) for e in sorted(core_edges)],
+        "end_vertices": sorted(G.end_vertices(g)),
         "uniquely_determined": G.is_uniquely_determined(g),
-        "complemented": G.is_complemented(g),
-        "uniquely_complemented": G.is_uniquely_complemented(g),
+        "complemented": unique or G.is_complemented(g),
+        "uniquely_complemented": unique,
         "meet_closed": G.neighborhood_meet_closed(g),
     }
     _emit(payload, args.json)

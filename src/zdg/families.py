@@ -189,18 +189,6 @@ def fixture_table(k: int) -> MulTable:
     return parse_table(text)
 
 
-def fixture_graph() -> Graph:
-    """The named square-plus-triangle base graph, loaded from package data."""
-    from .graph import parse_graph
-
-    text = (
-        resources.files(__package__)
-        .joinpath("fixtures/square_triangle.zdg-graph")
-        .read_text()
-    )
-    return parse_graph(text)
-
-
 def f2k_ring(k: int) -> BooleanRing:
     """The bit-vector boolean ring with 2^k elements: XOR addition, AND
     multiplication.  Element ids are the masks themselves, so 0 is the zero,

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import _MAX_COUNT, FormatError, TooLargeError, _check_name, _LineReader
-
-ISO_MAX_N = 12
+from .errors import _MAX_COUNT, FormatError, _check_name, _LineReader
 
 
 def bits(mask: int):
@@ -269,17 +267,15 @@ def _signatures(g: Graph) -> list[tuple]:
     ]
 
 
-def isomorphisms(g: Graph, h: Graph, max_n: int = ISO_MAX_N):
+def isomorphisms(g: Graph, h: Graph):
     """Yield every adjacency-preserving vertex bijection g -> h, as the tuple
     of images, in lexicographic order.
 
     Backtracking over images with degree-signature and adjacency pruning;
-    refuses graphs larger than max_n.
+    there is no size guard, as the work follows the bijections, not n.
     """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return
-    if g.n > max_n:
-        raise TooLargeError(f"isomorphism search capped at {max_n} vertices")
     sg, sh = _signatures(g), _signatures(h)
     if sorted(sg) != sorted(sh):
         return
@@ -304,15 +300,15 @@ def isomorphisms(g: Graph, h: Graph, max_n: int = ISO_MAX_N):
     yield from extend(0, 0)
 
 
-def automorphisms(g: Graph, max_n: int = ISO_MAX_N) -> list[tuple[int, ...]]:
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """The full automorphism group as explicit vertex permutations, in
-    lexicographic order; refuses graphs larger than max_n."""
-    return list(isomorphisms(g, g, max_n))
+    lexicographic order."""
+    return list(isomorphisms(g, g))
 
 
-def is_isomorphic(g: Graph, h: Graph, max_n: int = ISO_MAX_N) -> tuple[int, ...] | None:
+def is_isomorphic(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """The least vertex bijection g -> h preserving adjacency, or None."""
-    return next(isomorphisms(g, h, max_n), None)
+    return next(isomorphisms(g, h), None)
 
 
 def connected_graphs(n: int) -> list[Graph]:
@@ -324,28 +320,6 @@ def connected_graphs(n: int) -> list[Graph]:
         for mask in range(1 << len(pairs))
     )
     return [g for g in graphs if is_connected(g)]
-
-
-@dataclass(frozen=True)
-class GraphProps:
-    connected: bool
-    diameter: int | None
-    has_cycle: bool
-    core_vertices: frozenset[int]
-    core_edges: frozenset[tuple[int, int]]
-    end_vertices: frozenset[int]
-
-
-def graph_props(g: Graph) -> GraphProps:
-    cv, ce = core(g)
-    return GraphProps(
-        connected=is_connected(g),
-        diameter=diameter(g),
-        has_cycle=has_cycle(g),
-        core_vertices=cv,
-        core_edges=ce,
-        end_vertices=end_vertices(g),
-    )
 
 
 # --- text format ----------------------------------------------------------

@@ -267,8 +267,10 @@ class RealizationReport:
     """Outcome of an enumeration: canonically ordered tables plus counts.
 
     iso_class_count counts orbits of the emitted tables under the action of
-    Aut(G); status is none/unique/multiple by that count. truncated reports
-    that the enumeration stopped at the requested limit.
+    Aut(G); truncated reports that the enumeration stopped at the requested
+    limit.  status is none/unique/multiple by that count, except that a
+    truncated report with fewer than two orbits is unknown: the tables left
+    out may open more.
     """
 
     mode: str
@@ -321,7 +323,7 @@ def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int]]]:
     for k, (i, j) in enumerate(cells):
         pos[i][j] = pos[j][i] = k
     maps = []
-    for a in automorphisms(g, max_n=g.n):
+    for a in automorphisms(g):
         p = (0,) + tuple(v + 1 for v in a)
         q = [0] * (n + 1)
         for e in range(n + 1):
@@ -337,9 +339,7 @@ def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
     otherwise it opens a new orbit and the keys of all its Aut(G) images
     are marked seen.  So Aut(G) is applied once per orbit, not once per
     table, and the count is exact for any subset of tables, closed under
-    Aut(G) or not.  Aut(G) is not computed for fewer than two keys, and is
-    searched with no size cap of its own: realize_all has already refused
-    a graph over its max_n.
+    Aut(G) or not.  Aut(G) is not computed for fewer than two keys.
 
     complete says the keys are every realization of g, so the set must be
     closed under Aut(G): each image of each orbit must be among the keys,
@@ -367,10 +367,12 @@ def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
     return len(sizes)
 
 
-def _status(count: int) -> str:
-    if count == 0:
-        return "none"
-    return "unique" if count == 1 else "multiple"
+def _status(count: int, truncated: bool) -> str:
+    if count >= 2:
+        return "multiple"
+    if truncated:
+        return "unknown"
+    return "unique" if count else "none"
 
 
 def _pick_cell(state: SearchState) -> tuple[int, int] | None:
@@ -464,19 +466,9 @@ def realize_all(
         tables=tuple(t for _, t in keyed),
         labeled_count=len(keyed),
         iso_class_count=iso,
-        status=_status(iso),
+        status=_status(iso, truncated),
         truncated=truncated,
     )
-
-
-def classify_uniqueness(report: RealizationReport) -> str:
-    """none / unique / multiple, counting tables up to Aut(G) relabeling.
-
-    Refuses truncated reports: uniqueness needs the full enumeration.
-    """
-    if report.truncated:
-        raise ValueError("cannot classify a truncated report")
-    return report.status
 
 
 def _per_table_class_count(tables, g: Graph) -> int:
@@ -545,6 +537,6 @@ def brute_force_realize(g: Graph, mode: str = PLAIN) -> RealizationReport:
         tables=tuple(sols),
         labeled_count=len(sols),
         iso_class_count=iso,
-        status=_status(iso),
+        status=_status(iso, False),
         truncated=False,
     )

@@ -148,18 +148,13 @@ def zero_divisor_graph(t: MulTable, names=None) -> Graph:
 def closure_witness(t: MulTable, sub: Iterable[int]) -> tuple[int, int, int] | None:
     """A triple (a, b, a*b) with a, b in sub but a*b outside, or None."""
     s = frozenset(sub)
-    for a in sorted(s):
-        for b in sorted(s):
-            if b < a:
-                continue
+    order = sorted(s)
+    for i, a in enumerate(order):
+        for b in order[i:]:
             ab = t.prod[a][b]
             if ab not in s:
                 return (a, b, ab)
     return None
-
-
-def is_subsemigroup(t: MulTable, sub: Iterable[int]) -> bool:
-    return closure_witness(t, sub) is None
 
 
 def ideal_witness(
@@ -170,8 +165,9 @@ def ideal_witness(
     w = frozenset(within)
     if not s <= w:
         raise ValueError("sub must be contained in within")
+    order = sorted(s)
     for a in sorted(w):
-        for b in sorted(s):
+        for b in order:
             ab = t.prod[a][b]
             if ab not in s:
                 return (a, b, ab)

@@ -210,12 +210,9 @@ def verify_prop_2_7(f: TableFacts, x: int) -> TheoremVerdict:
 
 def _edge_in_quadrilateral(g: G.Graph, s: int, t2: int) -> bool:
     """True iff the edge s-t2 (vertex ids) lies on some 4-cycle: a neighbor
-    d of s (d != t2) adjacent to a neighbor h of t2 (h != s, h != d)."""
-    for d in G.bits(g.adj[s] & ~(1 << t2)):
-        for h in G.bits(g.adj[t2] & ~(1 << s)):
-            if d != h and g.has_edge(d, h):
-                return True
-    return False
+    d of s (d != t2) adjacent to a neighbor h of t2 (h != s; h != d, as no
+    vertex is its own neighbor)."""
+    return any(g.adj[d] & g.adj[t2] & ~(1 << s) for d in G.bits(g.adj[s] & ~(1 << t2)))
 
 
 def verify_thm_2_9(f: TableFacts, s: int, u: int) -> TheoremVerdict:
@@ -369,11 +366,9 @@ def _thm_2_1_subsets(f: GraphFacts, x: int) -> list[frozenset[int]]:
     vertex at x is a component of its own), by size, then elementwise."""
     subsets = [f.pendants[x]]
     left = set(f.hoods) - f.pendants[x] - {x}
+    adj = [mask & ~(1 << (x - 1)) for mask in f.graph.adj]  # G - x
     while left and f.graph.n <= _MAX_FREE_TX_N:
-        part, grow = frozenset(), {min(left)}
-        while grow:
-            part |= grow
-            grow = {v for y in grow for v in f.hoods[y]} - part - {x}
+        part = frozenset(v + 1 for v in G.bits(G.reachable(adj, min(left) - 1)))
         subsets += [tx | part for tx in subsets]
         left -= part
     return sorted(subsets, key=lambda tx: (len(tx), sorted(tx)))

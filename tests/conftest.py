@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library's own algorithms: distances via
-Floyd-Warshall, automorphisms via full permutation filtering, neighborhood
-predicates via frozenset scans.
+Floyd-Warshall, the core by deleting one edge at a time, automorphisms via
+full permutation filtering, neighborhood predicates via frozenset scans.
 """
 
 from __future__ import annotations
@@ -45,6 +45,18 @@ def oracle_diameter(g: Graph):
         return None
     d = oracle_distances(g)
     return int(max(max(row) for row in d))
+
+
+def oracle_core(g: Graph) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
+    """The edges whose ends stay connected without them (the bridges are
+    the rest), and the vertices those edges touch."""
+    edges = g.edges()
+    kept = set()
+    for e in edges:
+        d = oracle_distances(from_edge_list(g.n, [f for f in edges if f != e]))
+        if d[e[0]][e[1]] != float("inf"):
+            kept.add(e)
+    return frozenset(v for e in kept for v in e), frozenset(kept)
 
 
 def oracle_automorphisms(g: Graph) -> set[tuple[int, ...]]:
@@ -90,6 +102,12 @@ def oracle_m_uniquely_determined(g: Graph, m: int) -> bool:
 def oracle_uniquely_determined(g: Graph) -> bool:
     hoods = oracle_hoods(g)
     return all(hoods[x] != hoods[y] for x in range(g.n) for y in range(x + 1, g.n))
+
+
+def oracle_complemented(g: Graph) -> bool:
+    """Every x has a neighbour y with no common neighbour (x ⊥ y)."""
+    hoods = oracle_hoods(g)
+    return all(any(not hoods[x] & hoods[y] for y in hoods[x]) for x in range(g.n))
 
 
 def oracle_uniquely_complemented(g: Graph) -> bool:

@@ -22,7 +22,7 @@ def _schema(name):
 @pytest.fixture
 def base_graph_file(tmp_path):
     path = tmp_path / "base.zdg-graph"
-    path.write_text(format_graph(families.fixture_graph()))
+    path.write_text(format_graph(families.fig1(0, 0)))
     return str(path)
 
 
@@ -295,7 +295,9 @@ def test_requests_in_one_process_do_not_leak(tmp_path, capsys):
     path = tmp_path / "k3.zdg-graph"
     path.write_text(format_graph(families.complete(3)))
     code, out, _ = run(capsys, "realize", str(path), "--limit", "1", "--json")
-    assert code == 0 and loads(out)["truncated"] is True
+    part = loads(out)
+    assert code == 0 and part["truncated"] is True and part["status"] == "unknown"
+    jsonschema.validate(part, _schema("realize"))
     code, out, _ = run(capsys, "realize", str(path), "--json")
     full = loads(out)
     assert code == 0 and full["truncated"] is False

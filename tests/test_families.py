@@ -134,9 +134,3 @@ def test_f2k_rings():
     assert g3.n == 6 and g3.edge_count() == 6
     with pytest.raises(ValueError):
         families.f2k_ring(5)
-
-
-def test_fixture_graph_named():
-    g = families.fixture_graph()
-    assert g.names == ("a1", "a2", "a3", "x1", "x2")
-    assert g.adj == families.fig1(0, 0).adj

@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 from conftest import (
     labeled_graphs,
     oracle_automorphisms,
+    oracle_complemented,
     oracle_connected,
+    oracle_core,
     oracle_diameter,
     oracle_distances,
+    oracle_hoods,
     oracle_m_uniquely_determined,
     oracle_meet_closed,
     oracle_uniquely_complemented,
     oracle_uniquely_determined,
 )
 from zdg import cli, families
-from zdg.errors import TooLargeError
 from zdg.graph import (
     Graph,
     automorphisms,
@@ -28,7 +30,6 @@ from zdg.graph import (
     end_vertices,
     format_graph,
     from_edge_list,
-    graph_props,
     has_cycle,
     is_complemented,
     is_connected,
@@ -178,12 +179,6 @@ def test_automorphism_counts():
     assert oracle_automorphisms(BASE) == set(automorphisms(BASE))
 
 
-def test_automorphism_size_guard():
-    g = from_edge_list(13, [(i, i + 1) for i in range(12)])
-    with pytest.raises(TooLargeError):
-        automorphisms(g)
-
-
 def test_isomorphism_witness():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     h = from_edge_list(4, [(3, 2), (2, 1), (1, 0)])
@@ -240,11 +235,10 @@ def test_connected_graph_census():
     assert realizable == {PLAIN: [18, 68], BOOLEAN: [12, 34]}
 
 
-def test_graph_props_bundle():
-    props = graph_props(BASE)
-    assert props.connected and props.has_cycle and props.diameter == 2
-    assert props.end_vertices == frozenset()
-    assert props.core_vertices == frozenset(range(5))
+def test_props_of_the_base_graph():
+    assert is_connected(BASE) and has_cycle(BASE) and diameter(BASE) == 2
+    assert end_vertices(BASE) == frozenset()
+    assert core(BASE)[0] == frozenset(range(5))
 
 
 @given(graphs())
@@ -280,14 +274,7 @@ def test_core_properties(g):
 @given(graphs(max_n=8))
 def test_core_edges_match_bridge_oracle(g):
     # an edge is in the core iff its ends stay connected without it
-    def off(u, v):
-        adj = list(g.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return adj
-
-    want = {(u, v) for u, v in g.edges() if (reachable(off(u, v), u) >> v) & 1}
-    assert core(g) == (frozenset(x for e in want for x in e), frozenset(want))
+    assert core(g) == oracle_core(g)
 
 
 def test_core_of_a_large_two_star_and_a_long_cycle():
@@ -319,6 +306,28 @@ def test_props_of_a_large_two_star(tmp_path, capsys):
         "uniquely_complemented": False,
         "meet_closed": True,
     }
+
+
+def test_props_payload_matches_oracles(tmp_path, capsys):
+    # every labeled graph on up to 5 vertices, connected or not
+    path = tmp_path / "g.zdg-graph"
+    for g in labeled_graphs(5):
+        path.write_text(format_graph(g))
+        assert cli.main(["props", str(path), "--json"]) == 0
+        cv, ce = oracle_core(g)
+        assert json.loads(capsys.readouterr().out) == {
+            "n": g.n,
+            "connected": oracle_connected(g),
+            "diameter": oracle_diameter(g),
+            "has_cycle": bool(ce),
+            "core_vertices": sorted(cv),
+            "core_edges": [list(e) for e in sorted(ce)],
+            "end_vertices": [v for v, hood in enumerate(oracle_hoods(g)) if len(hood) == 1],
+            "uniquely_determined": oracle_uniquely_determined(g),
+            "complemented": oracle_complemented(g),
+            "uniquely_complemented": oracle_uniquely_complemented(g),
+            "meet_closed": oracle_meet_closed(g),
+        }, g.edges()
 
 
 @given(graphs())

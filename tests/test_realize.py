@@ -18,7 +18,6 @@ from zdg.realize import (
     _verify_solution,
     brute_force_realize,
     canonical_key,
-    classify_uniqueness,
     init_state,
     iso_class_count,
     propagate,
@@ -278,9 +277,12 @@ def test_limit_and_truncation():
     assert not full.truncated
     part = realize_all(g, limit=5)
     assert part.truncated and part.labeled_count == 5
-    with pytest.raises(ValueError, match="truncated"):
-        classify_uniqueness(part)
-    assert classify_uniqueness(full) == full.status
+    # five of the 216 tables already span three orbits
+    assert (part.iso_class_count, part.status) == (3, "multiple")
+    assert full.status == "multiple"
+    # one table of K3's seven orbits says nothing about uniqueness
+    k3 = realize_all(families.complete(3), limit=1)
+    assert k3.truncated and (k3.iso_class_count, k3.status) == (1, "unknown")
 
 
 def test_truncated_is_exact():
@@ -288,7 +290,7 @@ def test_truncated_is_exact():
     base = families.fig1(0, 0)
     one = realize_all(base, limit=1)
     assert one.labeled_count == 1 and not one.truncated
-    assert classify_uniqueness(one) == "unique"
+    assert one.status == "unique"
     g = families.fig4(2, 2, 2)
     full = realize_all(g)
     assert full.labeled_count == 216
@@ -329,8 +331,8 @@ def test_orbit_count_exact_on_truncated_sets(limit):
 
 
 def test_orbit_count_follows_the_search_cap():
-    # 13 vertices: over the default cap of 12, inside the caller's max_n, so
-    # the automorphism search behind the orbit count must not cap it again
+    # 13 vertices: over the default cap of 12, inside the caller's max_n,
+    # which also bounds the automorphism search behind the orbit count
     g = families.fig4(3, 3, 4)
     assert g.n == 13
     rep = realize_all(g, limit=5, max_n=13)

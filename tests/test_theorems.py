@@ -3,12 +3,12 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from zdg import cli, families, theorems
-from zdg.graph import format_graph, from_edge_list
+from zdg.graph import connected_graphs, format_graph, from_edge_list
 from zdg.realize import BOOLEAN, PLAIN, realize_all
 from zdg.semigroup import table_from_rows, zero_divisor_graph
 
@@ -70,9 +70,9 @@ def test_prop_2_7_hypothesis_is_necessary(fixture_tables):
     assert not v.hypotheses_met  # a1*a1 = 0
     assert v.conclusion_holds is None
     # and indeed the conclusion would be false there
-    from zdg.semigroup import is_subsemigroup
+    from zdg.semigroup import closure_witness
 
-    assert not is_subsemigroup(t5, {0, X1})
+    assert closure_witness(t5, {0, X1}) is not None
 
 
 def test_prop_2_7_applicable_case(fixture_tables):
@@ -126,6 +126,19 @@ def test_thm_2_9_refuses_pendant_products_that_leave_t_s():
     assert f.graph.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)]
     v = theorems.verify_thm_2_9(f, 1, 2)
     assert v.is_counterexample and v.witness == "4*4=1 leaves T_s | {0}"
+
+
+def test_edge_in_quadrilateral_matches_brute_force():
+    # s-t lies on a 4-cycle s-t-h-d-s iff four distinct vertices close it;
+    # every ordered edge of every labeled connected graph on up to 5 vertices
+    for n in range(2, 6):
+        for g in connected_graphs(n):
+            for s, t in g.edges() + [(v, u) for u, v in g.edges()]:
+                want = any(
+                    g.has_edge(t, h) and g.has_edge(h, d) and g.has_edge(d, s)
+                    for h, d in permutations(set(range(n)) - {s, t}, 2)
+                )
+                assert theorems._edge_in_quadrilateral(g, s, t) == want, (g.edges(), s, t)
 
 
 def test_prop_2_10_on_boolean_star():
