@@ -139,7 +139,7 @@ def _cmd_props(args) -> int:
         "n": g.n,
         "connected": G.is_connected(g),
         "diameter": G.diameter(g),
-        "has_cycle": G.has_cycle(g),
+        "has_cycle": bool(core_edges),  # a cycle iff some edge is not a bridge
         "core_vertices": sorted(core_vertices),
         "core_edges": [list(e) for e in sorted(core_edges)],
         "end_vertices": sorted(G.end_vertices(g)),
@@ -213,6 +213,22 @@ def _cmd_fixture(args) -> int:
     return 0
 
 
+def _verdict_json(v: TH.TheoremVerdict) -> str:
+    """v as an item of the verdict list of ``_dumps(payload)``."""
+    return _dumps(v.to_dict(), "    ")
+
+
+def _verdict_line(v: TH.TheoremVerdict) -> str:
+    """v as a line of the text output: its tag, instance and witness."""
+    if v.is_counterexample:
+        tag = "COUNTEREXAMPLE"
+    elif not v.hypotheses_met:
+        tag = "n/a"
+    else:
+        tag = "ok"
+    return f"[{tag}] {v.instance}" + (f" ({v.witness})" if v.witness else "")
+
+
 def _cmd_theorems(args) -> int:
     verdicts: list[TH.TheoremVerdict] = []
     if args.sweep:
@@ -230,25 +246,16 @@ def _cmd_theorems(args) -> int:
             print(f"table violates axioms: {bad[0].describe()}", file=sys.stderr)
             return 2
         verdicts = TH.all_verdicts(t)
-    counter = TH.counterexamples(verdicts)
+    counter = len(TH.counterexamples(verdicts))
+    # a sweep repeats few distinct verdicts many times over, so each is
+    # rendered once per request, keyed by its value
+    texts = list(map(functools.cache(_verdict_json if args.json else _verdict_line), verdicts))
     if args.json:
-        print(_dumps({
-            "verdicts": [v.to_dict() for v in verdicts],
-            "counterexamples": len(counter),
-        }))
+        listing = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+        out = f'{{\n  "verdicts": {listing},\n  "counterexamples": {counter}\n}}\n'
     else:
-        for v in verdicts:
-            if v.is_counterexample:
-                tag = "COUNTEREXAMPLE"
-            elif not v.hypotheses_met:
-                tag = "n/a"
-            else:
-                tag = "ok"
-            line = f"[{tag}] {v.instance}"
-            if v.witness:
-                line += f" ({v.witness})"
-            print(line)
-        print(f"counterexamples: {len(counter)}")
+        out = "".join(line + "\n" for line in texts) + f"counterexamples: {counter}\n"
+    sys.stdout.write(out)
     return 1 if counter else 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .boolean_algebra import BooleanRing
-from .graph import Graph, from_edge_list, is_internal_vertex
+from .graph import Graph, from_edge_list
 from .semigroup import MulTable, parse_table, table_from_rows
 
 _BASE_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]
@@ -108,39 +108,6 @@ def fig4(u: int, v: int, w: int) -> Graph:
 def two_star(m: int, n: int) -> Graph:
     """Two stars with m and n leaves and one edge joining the centers."""
     return _with_pendants([(0, 1)], ["a", "b"], [(0, "x", m), (1, "y", n)])
-
-
-def attach_ends(g: Graph, assignments) -> Graph:
-    """Add pendant vertices: assignments is an iterable of (vertex, count);
-    new vertices are appended in order."""
-    edges = g.edges()
-    names = list(g.names) if g.names is not None else [f"v{i}" for i in range(g.n)]
-    nxt = g.n
-    for v, count in assignments:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        if count < 0:
-            raise ValueError("pendant counts must be >= 0")
-        for _ in range(count):
-            edges.append((v, nxt))
-            names.append(f"p{nxt - g.n + 1}")
-            nxt += 1
-    return from_edge_list(nxt, edges, names)
-
-
-def attach_graph(g: Graph, v: int, h: Graph) -> Graph:
-    """Join every vertex of h to the internal vertex v of g, keeping h's own
-    edges; rejects non-internal v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    if not is_internal_vertex(g, v):
-        raise ValueError(f"vertex {v} is not internal")
-    edges = g.edges()
-    edges += [(g.n + a, g.n + b) for a, b in h.edges()]
-    edges += [(v, g.n + w) for w in range(h.n)]
-    names = list(g.names) if g.names is not None else [f"v{i}" for i in range(g.n)]
-    names += [f"h{w}" for w in range(h.n)]
-    return from_edge_list(g.n + h.n, edges, names)
 
 
 def boolean_rpartite_table(sizes) -> MulTable:

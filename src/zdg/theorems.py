@@ -73,12 +73,13 @@ class TableFacts(GraphFacts):
 
 def graph_facts(g: G.Graph) -> GraphFacts:
     elems = range(1, g.n + 1)
+    core_vertices, core_edges = G.core(g)
     return GraphFacts(
         graph=g,
-        has_cycle=G.has_cycle(g),
+        has_cycle=bool(core_edges),  # a cycle iff some edge is not a bridge
         pendants={x: frozenset(v + 1 for v in G.pendant_set(g, x - 1)) for x in elems},
         hoods={x: frozenset(v + 1 for v in G.bits(g.adj[x - 1])) for x in elems},
-        core=frozenset(v + 1 for v in G.core(g)[0]),
+        core=frozenset(v + 1 for v in core_vertices),
     )
 
 
@@ -95,11 +96,6 @@ def bind(f: GraphFacts, t: MulTable) -> TableFacts:
         x = next(v for v in range(g.n) if adj[v] != g.adj[v]) + 1
         raise ValueError(f"element {x}: its zero products are not its neighbours in the graph")
     return TableFacts(f.graph, f.has_cycle, f.pendants, f.hoods, f.core, table=t)
-
-
-def table_facts(t: MulTable) -> TableFacts:
-    """Raises ValueError when some nonzero element is not a zero divisor."""
-    return bind(graph_facts(SG.zero_divisor_graph(t)), t)
 
 
 # The hypotheses that depend on the graph alone.  A verifier tests them

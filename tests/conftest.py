@@ -12,8 +12,9 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import settings
 
-from zdg import families
-from zdg.graph import Graph, connected_graphs, from_edge_list, is_isomorphic
+from zdg import families, theorems
+from zdg.graph import Graph, connected_graphs, from_edge_list, is_internal_vertex, is_isomorphic
+from zdg.semigroup import MulTable, zero_divisor_graph
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -119,6 +120,46 @@ def oracle_uniquely_complemented(g: Graph) -> bool:
         if len(partners) != 1:
             return False
     return True
+
+
+def table_facts(t: MulTable) -> theorems.TableFacts:
+    """t with the facts of its zero-divisor graph, for calling a verifier
+    on one table; raises ValueError when some nonzero element is not a zero
+    divisor."""
+    return theorems.bind(theorems.graph_facts(zero_divisor_graph(t)), t)
+
+
+def attach_ends(g: Graph, assignments) -> Graph:
+    """Add pendant vertices: assignments is an iterable of (vertex, count);
+    new vertices are appended in order."""
+    edges = g.edges()
+    names = list(g.names) if g.names is not None else [f"v{i}" for i in range(g.n)]
+    nxt = g.n
+    for v, count in assignments:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        if count < 0:
+            raise ValueError("pendant counts must be >= 0")
+        for _ in range(count):
+            edges.append((v, nxt))
+            names.append(f"p{nxt - g.n + 1}")
+            nxt += 1
+    return from_edge_list(nxt, edges, names)
+
+
+def attach_graph(g: Graph, v: int, h: Graph) -> Graph:
+    """Join every vertex of h to the internal vertex v of g, keeping h's own
+    edges; rejects non-internal v."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    if not is_internal_vertex(g, v):
+        raise ValueError(f"vertex {v} is not internal")
+    edges = g.edges()
+    edges += [(g.n + a, g.n + b) for a, b in h.edges()]
+    edges += [(v, g.n + w) for w in range(h.n)]
+    names = list(g.names) if g.names is not None else [f"v{i}" for i in range(g.n)]
+    names += [f"h{w}" for w in range(h.n)]
+    return from_edge_list(g.n + h.n, edges, names)
 
 
 def labeled_graphs(max_n: int) -> list[Graph]:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from conftest import attach_ends, table_facts
+
 from zdg import families, theorems
 from zdg.boolean_algebra import (
     check_boolean_graph_conditions,
@@ -77,7 +79,7 @@ def test_criterion_06_pendant_triangle_fixture(fixture_tables):
     t5 = fixture_tables[5]
     assert check_axioms(t5) == []
     assert closure_witness(t5, {0, 4}) is not None
-    verdict = theorems.verify_prop_2_7(theorems.table_facts(t5), 1)
+    verdict = theorems.verify_prop_2_7(table_facts(t5), 1)
     assert not verdict.hypotheses_met
     assert verdict.conclusion_holds is None
     _report(6, "fixture 5 valid, {0,x1} not closed, idempotency claim not applicable")
@@ -179,7 +181,7 @@ def test_criterion_09_clique_plus_vertex_boolean_census():
 
 def test_criterion_10_boolean_non_realizable_families():
     assert realize_all(families.m_nk(4, 2), BOOLEAN).labeled_count == 0
-    k22_pendant = families.attach_ends(families.complete_bipartite(2, 2), [(0, 1)])
+    k22_pendant = attach_ends(families.complete_bipartite(2, 2), [(0, 1)])
     assert realize_all(k22_pendant, BOOLEAN).labeled_count == 0
     for m in range(1, 4):
         for n in range(1, 4):

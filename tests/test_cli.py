@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zdg import cli, families
+from zdg import cli, families, theorems
 from zdg.cli import main
-from zdg.graph import format_graph
+from zdg.graph import connected_graphs, format_graph
+from zdg.realize import BOOLEAN, PLAIN, realize_all
+from zdg.semigroup import format_table
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -187,6 +189,62 @@ def test_theorems_table_and_sweep(tmp_path, base_graph_file, capsys):
     payload = loads(out)
     jsonschema.validate(payload, _schema("theorems"))
     assert payload["counterexamples"] == 0 and payload["verdicts"]
+
+
+def _written(verdicts, as_json):
+    """What ``zdg theorems`` wrote for these verdicts when it built the
+    whole payload and printed it, or printed one line per verdict."""
+    counter = sum(v.is_counterexample for v in verdicts)
+    if as_json:
+        return json.dumps({"verdicts": [v.to_dict() for v in verdicts],
+                           "counterexamples": counter}, indent=2) + "\n"
+    lines = []
+    for v in verdicts:
+        if v.is_counterexample:
+            tag = "COUNTEREXAMPLE"
+        elif not v.hypotheses_met:
+            tag = "n/a"
+        else:
+            tag = "ok"
+        line = f"[{tag}] {v.instance}"
+        if v.witness:
+            line += f" ({v.witness})"
+        lines.append(line + "\n")
+    return "".join(lines) + f"counterexamples: {counter}\n"
+
+
+def test_theorems_writes_every_verdict_byte_for_byte(tmp_path, capsys, fixture_tables):
+    # the writer renders each distinct verdict once per request; a memo
+    # keyed by the instance name alone would repeat a verdict that another
+    # table of the same request settles differently
+    graphs = [g for n in range(1, 5) for g in connected_graphs(n)]
+    graphs += [families.m_nk(4, 3), families.fig1(0, 1)]
+    requests = []
+    for g in graphs:
+        path = tmp_path / f"g{len(requests)}.zdg-graph"
+        path.write_text(format_graph(g))
+        for mode, flags in ((PLAIN, []), (BOOLEAN, ["--boolean"])):
+            verdicts = [v for t in realize_all(g, mode).tables for v in theorems.all_verdicts(t)]
+            requests.append((["--sweep", str(path), *flags], verdicts))
+    for k, t in fixture_tables.items():
+        path = tmp_path / f"t{k}.zdg-table"
+        path.write_text(format_table(t))
+        requests.append(([str(path)], theorems.all_verdicts(t)))
+
+    for argv, verdicts in requests:
+        for as_json in (False, True):
+            code, out, err = run(capsys, "theorems", *argv, *(["--json"] * as_json))
+            assert (code, err) == (0, "")
+            assert out == _written(verdicts, as_json), argv
+
+    assert any(not verdicts for _, verdicts in requests)  # m-nk 4 3 has no table
+    two_verdicts_one_name = False
+    for _, verdicts in requests:
+        by_name = {}
+        for v in verdicts:
+            by_name.setdefault((v.theorem, v.instance), set()).add(v)
+        two_verdicts_one_name |= any(len(vs) > 1 for vs in by_name.values())
+    assert two_verdicts_one_name
 
 
 def test_theorems_sweep_works_out_graph_facts_once_per_request(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import attach_ends, attach_graph
+
 from zdg import families
 from zdg.realize import realize_all
 from zdg.semigroup import check_axioms, is_boolean, zero_divisor_graph
@@ -68,15 +70,15 @@ def test_two_star():
 
 
 def test_attach_ends_rebuilds_m_nk():
-    g = families.attach_ends(families.m_nk(4, 3), [(3, 1)])
+    g = attach_ends(families.m_nk(4, 3), [(3, 1)])
     assert g.adj == families.m_nk(4, 4).adj
 
 
 def test_attach_graph_requires_internal_vertex():
     t5_graph = zero_divisor_graph(families.fixture_table(5))  # pendant on 0
     with pytest.raises(ValueError, match="internal"):
-        families.attach_graph(t5_graph, 0, families.complete(1))
-    g = families.attach_graph(t5_graph, 1, families.complete(1))
+        attach_graph(t5_graph, 0, families.complete(1))
+    g = attach_graph(t5_graph, 1, families.complete(1))
     assert g.n == 5 and g.has_edge(1, 4)
 
 
@@ -84,7 +86,7 @@ def test_attach_to_unrealizable_stays_unrealizable():
     # attaching anything to an internal vertex preserves non-realizability
     base = families.fig2(1)
     assert realize_all(base).labeled_count == 0
-    bigger = families.attach_graph(base, 4, families.complete(1))
+    bigger = attach_graph(base, 4, families.complete(1))
     assert realize_all(bigger).labeled_count == 0
 
 

@@ -271,6 +271,12 @@ def test_core_properties(g):
     assert has_cycle(g) == bool(edges)
 
 
+def test_has_cycle_iff_core_has_an_edge():
+    # the sweep and zdg props read the cycle flag off the core's edges
+    for g in labeled_graphs(5):
+        assert has_cycle(g) == bool(core(g)[1]), g.edges()
+
+
 @given(graphs(max_n=8))
 def test_core_edges_match_bridge_oracle(g):
     # an edge is in the core iff its ends stay connected without it

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zdg import families, theorems
+from conftest import table_facts
+
+from zdg import families
 from zdg.graph import diameter, is_connected, is_uniquely_determined
 from zdg.semigroup import (
     assoc_violation_symmetric,
@@ -154,7 +156,7 @@ def test_is_nilpotent_matches_powers(fixture_tables, connected_classes_upto_5):
 def _classes(t):
     """S_x (equal neighbourhoods) and S_<=x (contained ones) of every
     nonzero x, from the facts the verifiers read."""
-    hoods = theorems.table_facts(t).hoods
+    hoods = table_facts(t).hoods
     return (
         {x: {y for y in hoods if hoods[y] == hoods[x]} for x in hoods},
         {x: {y for y in hoods if hoods[y] <= hoods[x]} for x in hoods},
@@ -170,7 +172,7 @@ def test_equivalence_classes_of_rpartite():
 
 def test_equivalence_class_trivial_when_uniquely_determined(fixture_tables):
     ud = [t for t in fixture_tables.values()
-          if is_uniquely_determined(theorems.table_facts(t).graph)]
+          if is_uniquely_determined(table_facts(t).graph)]
     assert len(ud) == 2  # fixtures 1 and 5
     for t in ud:
         classes, _ = _classes(t)

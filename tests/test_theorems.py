@@ -7,6 +7,8 @@ from itertools import combinations, permutations
 
 import pytest
 
+from conftest import table_facts
+
 from zdg import cli, families, theorems
 from zdg.graph import connected_graphs, format_graph, from_edge_list
 from zdg.realize import BOOLEAN, PLAIN, realize_all
@@ -17,14 +19,14 @@ A1, A2, A3, X1, X2 = 1, 2, 3, 4, 5
 
 def test_thm_2_1_pendant_triangle(fixture_tables):
     t5 = fixture_tables[5]
-    v = theorems.verify_thm_2_1(theorems.table_facts(t5), A1, {X1})
+    v = theorems.verify_thm_2_1(table_facts(t5), A1, {X1})
     assert v.hypotheses_met and v.conclusion_holds
 
 
 def test_thm_2_1_empty_tx_on_base_table(fixture_tables):
     # tx empty: hypothesis (3) then needs other vertices, which exist
     t1 = fixture_tables[1]
-    v = theorems.verify_thm_2_1(theorems.table_facts(t1), A1, set())
+    v = theorems.verify_thm_2_1(table_facts(t1), A1, set())
     assert v.hypotheses_met and v.conclusion_holds
 
 
@@ -34,25 +36,25 @@ def test_thm_2_1_inapplicable_when_all_vertices_absorbed():
     t = rep.tables[0]
     g = zero_divisor_graph(t)
     # pick an end vertex's neighbor x; tx = all others
-    v = theorems.verify_thm_2_1(theorems.table_facts(t), 1, {2, 3, 4})
+    v = theorems.verify_thm_2_1(table_facts(t), 1, {2, 3, 4})
     assert not v.hypotheses_met
 
 
 def test_thm_2_1_rejects_bad_input(fixture_tables):
     with pytest.raises(ValueError):
-        theorems.verify_thm_2_1(theorems.table_facts(fixture_tables[5]), 0, set())
-    v = theorems.verify_thm_2_1(theorems.table_facts(fixture_tables[5]), A1, {A1})
+        theorems.verify_thm_2_1(table_facts(fixture_tables[5]), 0, set())
+    v = theorems.verify_thm_2_1(table_facts(fixture_tables[5]), A1, {A1})
     assert not v.hypotheses_met
 
 
 def test_cor_2_2_on_fixture_tables(fixture_tables):
-    v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[5]), A1)
+    v = theorems.verify_cor_2_2(table_facts(fixture_tables[5]), A1)
     assert v.hypotheses_met and v.conclusion_holds
     # a2 in the two-pendant table: pendants exist, cycle exists
-    v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[2]), A2)
+    v = theorems.verify_cor_2_2(table_facts(fixture_tables[2]), A2)
     assert v.hypotheses_met and v.conclusion_holds
     # no pendants adjacent to x2 there
-    v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[2]), X2)
+    v = theorems.verify_cor_2_2(table_facts(fixture_tables[2]), X2)
     assert not v.hypotheses_met
 
 
@@ -60,13 +62,13 @@ def test_cor_2_2_no_claim_for_two_vertex_graph():
     # x*x = other endpoint is a legal two-vertex table and breaks the
     # closure claim, so the verifier must exclude that graph
     t = table_from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-    v = theorems.verify_cor_2_2(theorems.table_facts(t), 2)
+    v = theorems.verify_cor_2_2(table_facts(t), 2)
     assert not v.hypotheses_met
 
 
 def test_prop_2_7_hypothesis_is_necessary(fixture_tables):
     t5 = fixture_tables[5]
-    v = theorems.verify_prop_2_7(theorems.table_facts(t5), A1)
+    v = theorems.verify_prop_2_7(table_facts(t5), A1)
     assert not v.hypotheses_met  # a1*a1 = 0
     assert v.conclusion_holds is None
     # and indeed the conclusion would be false there
@@ -77,7 +79,7 @@ def test_prop_2_7_hypothesis_is_necessary(fixture_tables):
 
 def test_prop_2_7_applicable_case(fixture_tables):
     # x2 in the two-pendant table: cycle, not an end vertex, x2*x2 != 0
-    v = theorems.verify_prop_2_7(theorems.table_facts(fixture_tables[2]), X2)
+    v = theorems.verify_prop_2_7(table_facts(fixture_tables[2]), X2)
     assert v.hypotheses_met and v.conclusion_holds
 
 
@@ -91,24 +93,24 @@ def test_thm_2_9_qualifying_pairs():
             for s in t.nonzero():
                 for u in t.nonzero():
                     if s < u:
-                        v = theorems.verify_thm_2_9(theorems.table_facts(t), s, u)
+                        v = theorems.verify_thm_2_9(table_facts(t), s, u)
                         if v.hypotheses_met:
                             assert v.conclusion_holds, v
 
 
 def test_thm_2_9_fixture_3_hubs(fixture_tables):
-    v = theorems.verify_thm_2_9(theorems.table_facts(fixture_tables[3]), A1, A2)
+    v = theorems.verify_thm_2_9(table_facts(fixture_tables[3]), A1, A2)
     assert v.hypotheses_met and v.conclusion_holds
 
 
 def test_thm_2_9_degenerate_two_vertex_graph_excluded():
     allzero = table_from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    v = theorems.verify_thm_2_9(theorems.table_facts(allzero), 1, 2)
+    v = theorems.verify_thm_2_9(table_facts(allzero), 1, 2)
     assert not v.hypotheses_met
 
 
 def test_thm_2_9_not_applicable_without_pendants(fixture_tables):
-    v = theorems.verify_thm_2_9(theorems.table_facts(fixture_tables[1]), A1, A2)
+    v = theorems.verify_thm_2_9(table_facts(fixture_tables[1]), A1, A2)
     assert not v.hypotheses_met
 
 
@@ -122,7 +124,7 @@ def test_thm_2_9_refuses_pendant_products_that_leave_t_s():
     for (a, b), p in {(1, 5): 1, (2, 4): 2, (3, 4): 3, (3, 5): 3,
                       (4, 4): 1, (4, 5): 3, (5, 5): 5}.items():
         rows[a][b] = rows[b][a] = p
-    f = theorems.table_facts(table_from_rows(rows))
+    f = table_facts(table_from_rows(rows))
     assert f.graph.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)]
     v = theorems.verify_thm_2_9(f, 1, 2)
     assert v.is_counterexample and v.witness == "4*4=1 leaves T_s | {0}"
@@ -144,7 +146,7 @@ def test_edge_in_quadrilateral_matches_brute_force():
 def test_prop_2_10_on_boolean_star():
     # star: center is the unique maximal-degree vertex and is idempotent
     t = families.boolean_rpartite_table([1, 3])
-    v = theorems.verify_prop_2_10(theorems.table_facts(t))
+    v = theorems.verify_prop_2_10(table_facts(t))
     assert v.hypotheses_met and v.conclusion_holds
 
 
@@ -156,7 +158,7 @@ def _facts(n, edges, products):
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     for (a, b), p in products.items():
         rows[a][b] = rows[b][a] = p
-    f = theorems.table_facts(table_from_rows(rows))
+    f = table_facts(table_from_rows(rows))
     assert f.graph.edges() == edges
     return f
 
@@ -223,24 +225,24 @@ def test_thm_3_2_refuses_a_lower_set_that_is_not_closed():
 def test_thm_3_2_and_cor_3_3_on_rpartite():
     for sizes in ([2, 2], [2, 1], [3, 2, 1]):
         t = families.boolean_rpartite_table(sizes)
-        v = theorems.verify_thm_3_2(theorems.table_facts(t))
+        v = theorems.verify_thm_3_2(table_facts(t))
         assert v.hypotheses_met and v.conclusion_holds, v
-        v = theorems.verify_cor_3_3(theorems.table_facts(t))
+        v = theorems.verify_cor_3_3(table_facts(t))
         assert v.hypotheses_met and v.conclusion_holds, v
 
 
 def test_thm_3_2_not_applicable_on_non_boolean(fixture_tables):
-    v = theorems.verify_thm_3_2(theorems.table_facts(fixture_tables[1]))
+    v = theorems.verify_thm_3_2(table_facts(fixture_tables[1]))
     assert not v.hypotheses_met
 
 
 def test_prop_3_6_consistency(fixture_tables):
     # reduced with uniquely determined graph forces idempotency;
     # fixture 5 is not reduced, so not applicable
-    v = theorems.verify_prop_3_6(theorems.table_facts(fixture_tables[5]))
+    v = theorems.verify_prop_3_6(table_facts(fixture_tables[5]))
     assert not v.hypotheses_met
     t = families.boolean_rpartite_table([1, 1, 1])
-    v = theorems.verify_prop_3_6(theorems.table_facts(t))
+    v = theorems.verify_prop_3_6(table_facts(t))
     assert v.hypotheses_met and v.conclusion_holds
 
 
@@ -248,7 +250,7 @@ def test_prop_3_6_refuses_a_reduced_table_that_is_not_idempotent():
     # K2 with 1*1 = 2, 2*2 = 1: reduced (no nilpotents) and uniquely
     # determined, but not idempotent
     t = table_from_rows([[0, 0, 0], [0, 2, 0], [0, 0, 1]])
-    v = theorems.verify_prop_3_6(theorems.table_facts(t))
+    v = theorems.verify_prop_3_6(table_facts(t))
     assert v.is_counterexample and v.witness == "1*1 = 2 != 1"
 
 
@@ -298,7 +300,7 @@ def test_thm_2_1_subsets_match_power_set(connected_upto_4, fixture_tables):
     for g in (families.fig1(1, 1), families.two_star(2, 2), k4_triangle):
         tables.extend(realize_all(g, PLAIN).tables)
     for t in tables:
-        f = theorems.table_facts(t)
+        f = table_facts(t)
         reference = [
             (x, tx, theorems.verify_thm_2_1(f, x, tx))
             for x in t.nonzero()
@@ -313,7 +315,7 @@ def test_thm_2_1_subsets_match_power_set(connected_upto_4, fixture_tables):
 def test_nine_element_fixtures_check_only_pendant_sets(fixture_tables):
     for k in (3, 4):
         t = fixture_tables[k]
-        f = theorems.table_facts(t)
+        f = table_facts(t)
         thm21 = [v for v in theorems.all_verdicts(t) if v.theorem == "thm_2_1"]
         assert t.n == 9
         assert [v.instance for v in thm21] == [
@@ -322,7 +324,7 @@ def test_nine_element_fixtures_check_only_pendant_sets(fixture_tables):
 
 
 def test_verdict_serialization(fixture_tables):
-    v = theorems.verify_cor_2_2(theorems.table_facts(fixture_tables[5]), A1)
+    v = theorems.verify_cor_2_2(table_facts(fixture_tables[5]), A1)
     d = v.to_dict()
     assert d["theorem"] == "cor_2_2" and d["hypotheses_met"] is True
 
@@ -330,7 +332,7 @@ def test_verdict_serialization(fixture_tables):
 def _verifier_by_verifier(t):
     """Every verdict of one table, each from a call of its verifier: the
     reference for the verdicts the plan settles on the graph alone."""
-    f = theorems.table_facts(t)
+    f = table_facts(t)
     elems = list(t.nonzero())
     out = []
     for x in elems:
