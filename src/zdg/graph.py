@@ -125,10 +125,17 @@ def is_connected(g: Graph) -> bool:
 
 def diameter(g: Graph) -> int | None:
     """Graph diameter, or None when the graph is disconnected."""
-    if g.n == 0 or not is_connected(g):
+    if g.n == 0:
         return None
-    # twins are equally far from every other vertex, and 2 apart
-    return max(max(bfs_distances(g, vs[0])) for vs in hood_classes(g).values())
+    # twins are equally far from every other vertex, and 2 apart; the first
+    # walk, from vertex 0, also settles connectivity
+    far = 0
+    for vs in hood_classes(g).values():
+        dist = bfs_distances(g, vs[0])
+        if -1 in dist:
+            return None
+        far = max(far, max(dist))
+    return far
 
 
 def component_count(g: Graph) -> int:
@@ -196,13 +203,6 @@ def pendant_set(g: Graph, x: int) -> frozenset[int]:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
     return frozenset(v for v in bits(g.adj[x]) if g.degree(v) == 1)
-
-
-def is_internal_vertex(g: Graph, v: int) -> bool:
-    """True iff v is not an end vertex and no end vertex is adjacent to v."""
-    if g.degree(v) == 1:
-        return False
-    return all(g.degree(u) != 1 for u in bits(g.adj[v]))
 
 
 def hood_classes(g: Graph) -> dict[int, list[int]]:

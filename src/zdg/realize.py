@@ -14,6 +14,12 @@ table is checked again at the leaf against the definitions in zdg.semigroup
 (associativity, the zero-divisor graph, idempotence), not against the
 search's own constraints.  A naive brute-force enumerator over all symmetric
 tables (n <= 4) serves as an independent oracle.
+
+Aut(G) maps realizations of G onto realizations of G, so a complete
+enumeration searches one table per orbit: the one whose canonical key is
+least among its images (lex-leader pruning), and then expands each orbit
+into its labeled tables.  A search with a limit enumerates labeled tables
+directly, so its first tables do not depend on Aut(G).
 """
 
 from __future__ import annotations
@@ -266,11 +272,12 @@ def propagate(state: SearchState) -> Conflict | None:
 class RealizationReport:
     """Outcome of an enumeration: canonically ordered tables plus counts.
 
-    iso_class_count counts orbits of the emitted tables under the action of
-    Aut(G); truncated reports that the enumeration stopped at the requested
-    limit.  status is none/unique/multiple by that count, except that a
-    truncated report with fewer than two orbits is unknown: the tables left
-    out may open more.
+    iso_class_count counts orbits of the listed tables under the action of
+    Aut(G): the representatives the orbit search found, or for a limited
+    search the orbits its tables meet.  truncated reports that the
+    enumeration stopped at the requested limit.  status is
+    none/unique/multiple by that count, except that a truncated report with
+    fewer than two orbits is unknown: the tables left out may open more.
     """
 
     mode: str
@@ -295,6 +302,11 @@ class RealizationReport:
         }
 
 
+def _key_cells(n: int) -> list[tuple[int, int]]:
+    """The upper-triangle cells (i, j), 1 <= i <= j <= n, in key order."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
 def canonical_key(t: MulTable) -> tuple[int, ...]:
     """Lexicographic key: the upper triangle read row by row."""
     return tuple(t.prod[i][j] for i in t.nonzero() for j in range(i, t.n + 1))
@@ -316,24 +328,34 @@ def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int]]]:
     """Per automorphism p of g, the element map and, for each position of a
     canonical key, the position of the original key it is read from: the
     image of table t under p has key[k] = p[t[q[i]][q[j]]] at the k-th
-    upper-triangle cell (i, j), with q the inverse of p."""
+    upper-triangle cell (i, j), with q the inverse of p.
+
+    AssertionError for a permutation that does not map g onto itself."""
     n = g.n
-    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    cells = _key_cells(n)
     pos = [[0] * (n + 1) for _ in range(n + 1)]
     for k, (i, j) in enumerate(cells):
         pos[i][j] = pos[j][i] = k
+    edge = [(g.adj[i - 1] >> (j - 1)) & 1 for i, j in cells]
+    vertices = list(range(n))
     maps = []
     for a in automorphisms(g):
+        if sorted(a) != vertices:
+            raise AssertionError(f"{a} is not a permutation of the vertices")
         p = (0,) + tuple(v + 1 for v in a)
         q = [0] * (n + 1)
         for e in range(n + 1):
             q[p[e]] = e
-        maps.append((p, [pos[q[i]][q[j]] for i, j in cells]))
+        idx = [pos[q[i]][q[j]] for i, j in cells]
+        if [edge[k] for k in idx] != edge:
+            raise AssertionError(f"{a} does not map the graph onto itself")
+        maps.append((p, idx))
     return maps
 
 
 def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
-    """Orbits under Aut(G) of the tables with the given canonical keys.
+    """Orbits under Aut(G) of the tables with the given canonical keys; the
+    count of a limited search, whose tables need not be closed under Aut(G).
 
     Walks the keys in the order given; a key already seen is skipped,
     otherwise it opens a new orbit and the keys of all its Aut(G) images
@@ -413,8 +435,62 @@ def _verify_solution(state: SearchState, g: Graph) -> MulTable:
     return t
 
 
-def _dfs(state: SearchState, g: Graph, out: list[MulTable], cap: int | None) -> bool:
-    """Collect solutions depth first; returns False once cap is reached."""
+def _symmetries(maps, root: SearchState) -> list[tuple[tuple, tuple[int, ...], int]]:
+    """The lex-leader comparisons of the search rooted at root: one entry
+    (pairs, p, 0) per non-identity automorphism p, where pairs lists, in key
+    order, each open cell (i, j) with the cell (q[i], q[j]) its image reads.
+
+    Cells root decided are left out.  init_state reads only G and propagate
+    has a single greatest fixpoint, so the root state is Aut(G)-invariant:
+    every decided cell compares equal under every p.
+    """
+    n = root.n
+    cells = _key_cells(n)
+    open_ = [k for k, cell in enumerate(cells) if cell in root.domains]
+    identity = tuple(range(n + 1))
+    return [
+        (tuple(cells[k] + cells[idx[k]] for k in open_), p, 0)
+        for p, idx in maps
+        if p != identity
+    ]
+
+
+def _least_so_far(T: list[list[int]], tied: list) -> list | None:
+    """Resume each comparison of the table with one of its images, from the
+    position where it stopped: the key cell T[i][j] against p[T[a][b]].  An
+    image stays tied while either cell is unknown and is dropped once it is
+    larger; None once some image is smaller, as it stays in every
+    completion, so the table cannot be its orbit's least key."""
+    still = []
+    for pairs, p, at in tied:
+        for k in range(at, len(pairs)):
+            i, j, a, b = pairs[k]
+            x = T[i][j]
+            y = T[a][b]
+            if x == UNKNOWN or y == UNKNOWN:
+                still.append((pairs, p, k))
+                break
+            y = p[y]
+            if x != y:
+                if y < x:
+                    return None
+                break
+    return still
+
+
+def _dfs(
+    state: SearchState, g: Graph, out: list[MulTable], cap: int | None, tied: list
+) -> bool:
+    """Collect solutions depth first; returns False once cap is reached.
+
+    tied holds the images still compared with the table (see _symmetries);
+    a node where one of them is already smaller is pruned, so with the
+    symmetries of G each solution is the least key of its orbit.
+    """
+    if tied:
+        tied = _least_so_far(state.table, tied)
+        if tied is None:
+            return True
     cell = _pick_cell(state)
     if cell is None:
         out.append(_verify_solution(state, g))
@@ -424,9 +500,39 @@ def _dfs(state: SearchState, g: Graph, out: list[MulTable], cap: int | None) -> 
         if child.assign(cell[0], cell[1], v):
             continue
         if propagate(child) is None:
-            if not _dfs(child, g, out, cap):
+            if not _dfs(child, g, out, cap, tied):
                 return False
     return True
+
+
+def _tables_from_keys(keys, n: int) -> tuple[MulTable, ...]:
+    """The tables with the given canonical keys."""
+    at = [[0] * (n + 1) for _ in range(n + 1)]  # 1 + key position; 0 reads the zero
+    for k, (i, j) in enumerate(_key_cells(n), 1):
+        at[i][j] = at[j][i] = k
+    rows = [itemgetter(*row) for row in at]
+    return tuple(MulTable(n, tuple([row((0,) + key) for row in rows])) for key in keys)
+
+
+def _expand_orbits(reps: list[MulTable], maps) -> list[tuple[int, ...]]:
+    """The sorted keys of every Aut(G) image of the representatives.
+
+    AssertionError unless each representative is its orbit's least key and
+    the orbit sizes |Aut(G)| / |Stab(T)| sum to the number of keys, which a
+    repeated representative breaks.
+    """
+    keys: set[tuple[int, ...]] = set()
+    total = 0
+    for t in reps:
+        key = canonical_key(t)
+        images = {tuple([p[key[k]] for k in idx]) for p, idx in maps}
+        if min(images) != key:
+            raise AssertionError(f"table {key} is not the least key of its orbit")
+        keys |= images
+        total += len(images)
+    if total != len(keys):
+        raise AssertionError(f"orbit sizes sum to {total}, but the orbits hold {len(keys)} tables")
+    return sorted(keys)
 
 
 def realize_all(
@@ -437,10 +543,12 @@ def realize_all(
 ) -> RealizationReport:
     """Enumerate all multiplication tables realizing g, canonically ordered.
 
-    limit caps the number of labeled tables returned: the first limit found
-    in enumeration order, which is deterministic.  The report is flagged
-    truncated exactly when some realizing table is left out, so the search
-    looks for one table more than limit.
+    Without a limit, the search finds one table per Aut(G) orbit and expands
+    the orbits; Aut(G) is computed only when the root propagation leaves a
+    cell open.  limit caps the number of labeled tables returned: the first
+    limit found in enumeration order, which is deterministic.  The report is
+    flagged truncated exactly when some realizing table is left out, so the
+    search looks for one table more than limit.
     """
     mode = _check_mode(mode)
     if g.n < 1:
@@ -454,17 +562,28 @@ def realize_all(
 
     root = init_state(g, mode)
     sols: list[MulTable] = []
+    maps = None
     if propagate(root) is None:
-        _dfs(root, g, sols, None if limit is None else limit + 1)
-    truncated = limit is not None and len(sols) > limit
-    keyed = sorted(((canonical_key(t), t) for t in sols[:limit]), key=itemgetter(0))
-    keys = [k for k, _ in keyed]
-    iso = iso_class_count(keys, g, complete=not truncated)
+        tied = []
+        if limit is None and root.domains:
+            maps = _image_maps(g)
+            tied = _symmetries(maps, root)
+        _dfs(root, g, sols, None if limit is None else limit + 1, tied)
+    if maps is not None:
+        keys = _expand_orbits(sols, maps)
+        tables = _tables_from_keys(keys, g.n)
+        iso = len(sols)
+        truncated = False
+    else:
+        truncated = limit is not None and len(sols) > limit
+        keyed = sorted(((canonical_key(t), t) for t in sols[:limit]), key=itemgetter(0))
+        tables = tuple(t for _, t in keyed)
+        iso = iso_class_count([k for k, _ in keyed], g, complete=not truncated)
     return RealizationReport(
         mode=mode,
         n=g.n,
-        tables=tuple(t for _, t in keyed),
-        labeled_count=len(keyed),
+        tables=tables,
+        labeled_count=len(tables),
         iso_class_count=iso,
         status=_status(iso, truncated),
         truncated=truncated,

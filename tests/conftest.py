@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 
 from zdg import families, theorems
-from zdg.graph import Graph, connected_graphs, from_edge_list, is_internal_vertex, is_isomorphic
+from zdg.graph import Graph, bits, connected_graphs, from_edge_list, is_isomorphic
 from zdg.semigroup import MulTable, zero_divisor_graph
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -145,6 +145,13 @@ def attach_ends(g: Graph, assignments) -> Graph:
             names.append(f"p{nxt - g.n + 1}")
             nxt += 1
     return from_edge_list(nxt, edges, names)
+
+
+def is_internal_vertex(g: Graph, v: int) -> bool:
+    """True iff v is not an end vertex and no end vertex is adjacent to v."""
+    if g.degree(v) == 1:
+        return False
+    return all(g.degree(u) != 1 for u in bits(g.adj[v]))
 
 
 def attach_graph(g: Graph, v: int, h: Graph) -> Graph:

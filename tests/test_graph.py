@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    is_internal_vertex,
     labeled_graphs,
     oracle_automorphisms,
     oracle_complemented,
@@ -33,7 +34,6 @@ from zdg.graph import (
     has_cycle,
     is_complemented,
     is_connected,
-    is_internal_vertex,
     is_isomorphic,
     is_m_uniquely_determined,
     is_uniquely_complemented,

@@ -8,6 +8,7 @@ import pytest
 
 import zdg.realize
 from zdg import families
+from zdg.boolean_algebra import check_boolean_graph_conditions
 from zdg.errors import TooLargeError
 from zdg.graph import connected_graphs, from_edge_list
 from zdg.realize import (
@@ -310,13 +311,34 @@ def test_iso_class_count_skips_automorphisms_below_two_tables(monkeypatch):
     monkeypatch.setattr(zdg.realize, "automorphisms", refuse)
     assert realize_all(families.fig1(0, 0)).iso_class_count == 1
     assert realize_all(families.m_nk(4, 3)).iso_class_count == 0
+    # the root propagation closes F2^4's boolean search, so there is no
+    # search to prune; a limited search and the boolean conditions (limit 1)
+    # enumerate labeled tables and count one orbit without Aut(G)
+    f24 = _f2k_graph(4)
+    assert realize_all(f24, BOOLEAN, max_n=f24.n).labeled_count == 1
+    one = realize_all(families.fig4(2, 2, 2), limit=1)
+    assert (one.truncated, one.iso_class_count, one.status) == (True, 1, "unknown")
+    assert check_boolean_graph_conditions(f24, max_n=f24.n).boolean_realizable
+
+
+def _labeled_enumeration(monkeypatch, g, mode):
+    """realize_all(g, mode) searching every labeled table: with only the
+    identity for Aut(G) nothing is pruned, and each table is its own orbit."""
+    with monkeypatch.context() as m:
+        m.setattr(zdg.realize, "automorphisms", lambda h: [tuple(range(h.n))])
+        return realize_all(g, mode)
 
 
 @pytest.mark.parametrize("mode", [PLAIN, BOOLEAN])
-def test_orbit_count_matches_per_table_formula(connected_classes_upto_5, mode):
+def test_orbit_count_matches_per_table_formula(monkeypatch, connected_classes_upto_5, mode):
+    # the orbit search, expanded, reports exactly the labeled enumeration's
+    # tables, and as many orbits as the per-table formula finds among them
     for g in connected_classes_upto_5:
-        rep = realize_all(g, mode)
-        assert rep.iso_class_count == _per_table_class_count(rep.tables, g), g.edges()
+        labeled = _labeled_enumeration(monkeypatch, g, mode)
+        count = _per_table_class_count(labeled.tables, g)
+        status = "multiple" if count > 1 else "unique" if count else "none"
+        want = dict(labeled.to_dict(), iso_class_count=count, status=status)
+        assert realize_all(g, mode).to_dict() == want, g.edges()
 
 
 @pytest.mark.parametrize("limit", [5, 50, 215])
@@ -357,20 +379,36 @@ def _edit_search_output(monkeypatch, edit):
     monkeypatch.setattr(zdg.realize, "_dfs", search)
 
 
-def test_orbit_stabilizer_check_catches_a_dropped_table(monkeypatch):
-    # on K2 the table with squares (0, 1) shares its orbit with (2, 0)
-    def drop(out):
-        out[:] = [t for t in out if (t.prod[1][1], t.prod[2][2]) != (0, 1)]
-
-    _edit_search_output(monkeypatch, drop)
-    with pytest.raises(AssertionError, match="missed an Aut"):
-        realize_all(from_edge_list(2, [(0, 1)]))
+# on K2 the tables with squares (1*1, 2*2) = (0, 1) and (2, 0) form one orbit
+# under the swap, with least key (0, 0, 1); a dropped representative drops its
+# whole orbit, which only the labeled enumeration above can tell
 
 
-def test_orbit_stabilizer_check_catches_a_repeated_table(monkeypatch):
+def test_orbit_expansion_catches_a_repeated_representative(monkeypatch):
     _edit_search_output(monkeypatch, lambda out: out.append(out[0]))
-    with pytest.raises(AssertionError, match="orbit sizes sum to 6, but 7"):
-        realize_all(from_edge_list(2, [(0, 1)]))
+    with pytest.raises(AssertionError, match=r"orbit sizes sum to \d+, but the orbits hold 6"):
+        realize_all(_K2)
+
+
+def test_orbit_expansion_catches_a_representative_not_least(monkeypatch):
+    image = table_from_rows([[0, 0, 0], [0, 2, 0], [0, 0, 0]])
+
+    def trade(out):
+        out[:] = [image if (t.prod[1][1], t.prod[2][2]) == (0, 1) else t for t in out]
+
+    _edit_search_output(monkeypatch, trade)
+    with pytest.raises(AssertionError, match="not the least key of its orbit"):
+        realize_all(_K2)
+
+
+@pytest.mark.parametrize(
+    "perm, match",
+    [((1, 0, 2), "does not map the graph onto itself"), ((0, 0, 2), "not a permutation")],
+)
+def test_orbit_search_refuses_a_non_automorphism(monkeypatch, perm, match):
+    monkeypatch.setattr(zdg.realize, "automorphisms", lambda g: [(0, 1, 2), perm])
+    with pytest.raises(AssertionError, match=match):
+        realize_all(_P3)
 
 
 def test_size_guard_and_preconditions():
