@@ -7,7 +7,7 @@ from __future__ import annotations
 import time
 
 from zdg import families
-from zdg.realize import realize_all
+from zdg.realize import canonical_key, realize_all
 from zdg.semigroup import render_table, zero_divisor_graph
 
 CASES = [
@@ -24,7 +24,7 @@ def main():
         report = realize_all(g)
         elapsed = time.monotonic() - start
         fixture = families.fixture_table(k)
-        hit = next(i for i, t in enumerate(report.tables) if t.prod == fixture.prod)
+        hit = report.keys.index(canonical_key(fixture))
         print(f"== {label}: {report.labeled_count} labeled tables, "
               f"{report.iso_class_count} classes, {elapsed:.2f}s")
         print(f"   fixture {k} is table #{hit + 1} of the enumeration:")
@@ -34,7 +34,7 @@ def main():
     g5 = zero_divisor_graph(t5, names=("a1", "a2", "a3", "x1"))
     report = realize_all(g5)
     print(f"== pendant triangle: {report.labeled_count} labeled tables; "
-          f"fixture 5 present: {any(t.prod == t5.prod for t in report.tables)}")
+          f"fixture 5 present: {canonical_key(t5) in report.keys}")
     print(render_table(t5, names=g5.names))
 
 

@@ -112,6 +112,27 @@ def _render_report(report: RZ.RealizationReport, names) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _table_format(n: int) -> str:
+    """The %-template that writes a table on n elements from its canonical
+    key, as an item of the "tables" list of ``_dumps(report.to_dict())``."""
+    rows = (",\n        ".join(["%d"] * width) for width in range(n, 0, -1))
+    return "[\n      [\n        " + "\n      ],\n      [\n        ".join(rows) + "\n      ]\n    ]"
+
+
+def _report_json(report: RZ.RealizationReport) -> str:
+    """Exactly ``_dumps(report.to_dict()) + "\n"``, with each table written
+    straight from its key rather than from nested lists."""
+    head = "".join(
+        f"  {_quote(k)}: {_dumps(getattr(report, k))},\n"
+        for k in ("mode", "n", "labeled_count", "iso_class_count", "status", "truncated")
+    )
+    form = _table_format(report.n)
+    tables = ",\n    ".join([form % key for key in report.keys])
+    listing = f"[\n    {tables}\n  ]" if tables else "[]"
+    return f'{{\n{head}  "tables": {listing}\n}}\n'
+
+
 def _cmd_realize(args, oracle: bool = False) -> int:
     g = _load_graph(args.graph)
     mode = RZ.BOOLEAN if args.boolean else RZ.PLAIN
@@ -120,7 +141,7 @@ def _cmd_realize(args, oracle: bool = False) -> int:
     else:
         report = RZ.realize_all(g, mode, limit=args.limit, max_n=args.max_n)
     if args.json:
-        print(_dumps(report.to_dict()))
+        sys.stdout.write(_report_json(report))
     else:
         sys.stdout.write(_render_report(report, g.names))
     return 0
@@ -235,7 +256,7 @@ def _cmd_theorems(args) -> int:
         g = _load_graph(args.sweep)
         mode = RZ.BOOLEAN if args.boolean else RZ.PLAIN
         report = RZ.realize_all(g, mode, max_n=args.max_n)
-        if report.tables:
+        if report.keys:
             verdicts_of = TH.plan(g)
             for t in report.tables:
                 verdicts.extend(verdicts_of(t))

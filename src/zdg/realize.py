@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 from .errors import TooLargeError
@@ -270,8 +272,11 @@ def propagate(state: SearchState) -> Conflict | None:
 
 @dataclass(frozen=True)
 class RealizationReport:
-    """Outcome of an enumeration: canonically ordered tables plus counts.
+    """Outcome of an enumeration: the canonical keys of the realizing
+    tables, in order, plus counts.
 
+    keys is what the report stores; tables, the validated MulTables with
+    those keys in the same order, is built on first read and kept.
     iso_class_count counts orbits of the listed tables under the action of
     Aut(G): the representatives the orbit search found, or for a limited
     search the orbits its tables meet.  truncated reports that the
@@ -282,13 +287,18 @@ class RealizationReport:
 
     mode: str
     n: int
-    tables: tuple[MulTable, ...]
+    keys: tuple[tuple[int, ...], ...]
     labeled_count: int
     iso_class_count: int
     status: str
     truncated: bool
 
+    @cached_property
+    def tables(self) -> tuple[MulTable, ...]:
+        return _tables_from_keys(self.keys, self.n)
+
     def to_dict(self) -> dict:
+        starts = list(accumulate(range(self.n, 0, -1), initial=0))  # where rows begin in a key
         return {
             "mode": self.mode,
             "n": self.n,
@@ -297,7 +307,7 @@ class RealizationReport:
             "status": self.status,
             "truncated": self.truncated,
             "tables": [
-                [list(t.prod[i][i:]) for i in t.nonzero()] for t in self.tables
+                [list(key[a:b]) for a, b in zip(starts, starts[1:])] for key in self.keys
             ],
         }
 
@@ -517,6 +527,11 @@ def _tables_from_keys(keys, n: int) -> tuple[MulTable, ...]:
 def _expand_orbits(reps: list[MulTable], maps) -> list[tuple[int, ...]]:
     """The sorted keys of every Aut(G) image of the representatives.
 
+    The images need no MulTable of their own: each entry is p[key[k]], with
+    p a permutation _image_maps checked and key that of a representative
+    _verify_solution checked as a validated MulTable, so every entry is in
+    range by construction.
+
     AssertionError unless each representative is its orbit's least key and
     the orbit sizes |Aut(G)| / |Stab(T)| sum to the number of keys, which a
     repeated representative breaks.
@@ -571,19 +586,17 @@ def realize_all(
         _dfs(root, g, sols, None if limit is None else limit + 1, tied)
     if maps is not None:
         keys = _expand_orbits(sols, maps)
-        tables = _tables_from_keys(keys, g.n)
         iso = len(sols)
         truncated = False
     else:
         truncated = limit is not None and len(sols) > limit
-        keyed = sorted(((canonical_key(t), t) for t in sols[:limit]), key=itemgetter(0))
-        tables = tuple(t for _, t in keyed)
-        iso = iso_class_count([k for k, _ in keyed], g, complete=not truncated)
+        keys = sorted(map(canonical_key, sols[:limit]))
+        iso = iso_class_count(keys, g, complete=not truncated)
     return RealizationReport(
         mode=mode,
         n=g.n,
-        tables=tables,
-        labeled_count=len(tables),
+        keys=tuple(keys),
+        labeled_count=len(keys),
         iso_class_count=iso,
         status=_status(iso, truncated),
         truncated=truncated,
@@ -648,12 +661,11 @@ def brute_force_realize(g: Graph, mode: str = PLAIN) -> RealizationReport:
             rec(idx + 1)
 
     rec(0)
-    sols.sort(key=canonical_key)
     iso = _per_table_class_count(sols, g)
     return RealizationReport(
         mode=mode,
         n=n,
-        tables=tuple(sols),
+        keys=tuple(sorted(map(canonical_key, sols))),
         labeled_count=len(sols),
         iso_class_count=iso,
         status=_status(iso, False),

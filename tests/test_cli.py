@@ -87,6 +87,46 @@ def test_oracle_agrees_with_realize(tmp_path, capsys):
     jsonschema.validate(loads(b), _schema("realize"))
 
 
+def test_realize_writes_every_report_byte_for_byte(tmp_path, capsys, monkeypatch,
+                                                   connected_classes_upto_5):
+    # the writer renders each table from its key through one template per
+    # n; each output must be the standard encoder's text of the report the
+    # command computed, which a wrapper records
+    reports = []
+
+    def recorded(search):
+        return lambda *a, **k: reports.append(search(*a, **k)) or reports[-1]
+
+    monkeypatch.setattr(cli.RZ, "realize_all", recorded(cli.RZ.realize_all))
+    monkeypatch.setattr(cli.RZ, "brute_force_realize", recorded(cli.RZ.brute_force_realize))
+    graphs = [g for n in range(1, 5) for g in connected_graphs(n)]
+    graphs += [families.m_nk(4, 3), families.complete(5), families.m_nk(5, 1)]
+    requests = []
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.zdg-graph"
+        path.write_text(format_graph(g))
+        for flags in ([], ["--boolean"]):
+            for extra in ([], ["--limit", "1"], ["--limit", "3"]):
+                requests.append(["realize", str(path), *flags, *extra, "--json"])
+    # the brute-force oracle takes about 30 ms a graph on 4 vertices, so it
+    # runs on one graph per isomorphism class
+    for i, g in enumerate(h for h in connected_classes_upto_5 if h.n <= 4):
+        path = tmp_path / f"c{i}.zdg-graph"
+        path.write_text(format_graph(g))
+        for flags in ([], ["--boolean"]):
+            requests.append(["oracle", str(path), *flags, "--json"])
+
+    for argv in requests:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(reports[-1].to_dict(), indent=2) + "\n", argv
+
+    assert len(reports) == len(requests)
+    assert {1, 2, 3, 4, 5} <= {report.n for report in reports}
+    assert any(not report.keys for report in reports)  # m-nk 4 3 has no table
+    assert any(report.truncated for report in reports)
+
+
 def test_props_json_schema(base_graph_file, capsys):
     code, out, _ = run(capsys, "props", base_graph_file, "--json")
     assert code == 0

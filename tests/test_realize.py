@@ -260,6 +260,31 @@ def test_tables_listed_in_canonical_order():
     assert rep.labeled_count == len(set(keys))
 
 
+def test_tables_are_built_once_and_only_when_read(tmp_path, monkeypatch, capsys):
+    from zdg import cli
+    from zdg.graph import format_graph
+    from zdg.semigroup import MulTable
+
+    built = []
+    build = zdg.realize._tables_from_keys
+    monkeypatch.setattr(zdg.realize, "_tables_from_keys",
+                        lambda *a: built.append(a) or build(*a))
+    path = tmp_path / "k5.zdg-graph"
+    path.write_text(format_graph(families.complete(5)))
+    assert cli.main(["realize", str(path), "--json"]) == 0
+    assert '"labeled_count": 537' in capsys.readouterr().out
+    assert built == []
+
+    for rep in (realize_all(families.complete(5)),
+                realize_all(families.complete(5), limit=3),
+                brute_force_realize(families.two_star(1, 1))):
+        tables = rep.tables
+        assert all(type(t) is MulTable for t in tables)
+        assert [canonical_key(t) for t in tables] == list(rep.keys)
+        assert rep.tables is tables
+    assert len(built) == 3
+
+
 def test_emitted_set_closed_under_automorphisms():
     from zdg.graph import automorphisms
     from zdg.realize import apply_automorphism
