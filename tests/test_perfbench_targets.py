@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -28,19 +29,45 @@ def test_every_trace_target_resolves():
 def test_sweep_calls_verifiers_through_their_module_binding(tmp_path, monkeypatch, capsys):
     # the tracer replaces zdg.theorems.verify_* at the module attribute, so
     # the sweep must look them up there on each request, not hold the
-    # functions it saw at import time
+    # functions it saw at import time; each is called once per table and
+    # instance whose hypotheses the graph alone does not settle
+    import reference_theorems as reference
     from zdg import cli, families, theorems
     from zdg.graph import format_graph
+    from zdg.realize import PLAIN, realize_all
 
-    calls = []
-    verify = theorems.verify_thm_2_9
-    monkeypatch.setattr(theorems, "verify_thm_2_9",
-                        lambda *a, **k: calls.append(k) or verify(*a, **k))
-    path = tmp_path / "p4.zdg-graph"
-    path.write_text(format_graph(families.two_star(1, 1)))
+    calls = Counter()
+
+    def counted(name):
+        verify = getattr(theorems, name)
+
+        def wrapper(*a, **k):
+            calls[(name, *k.values())] += 1
+            return verify(*a, **k)
+        return wrapper
+
+    for name in runpy.run_path(str(SPANS))["VERIFIERS"]:
+        monkeypatch.setattr(theorems, name, counted(name))
+    g = families.fig4(1, 1, 0)  # every claim has an unsettled instance
+    path = tmp_path / "fig4.zdg-graph"
+    path.write_text(format_graph(g))
     assert cli.main(["theorems", "--sweep", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert calls
+
+    f = theorems.graph_facts(g)
+    elems = range(1, g.n + 1)
+    unsettled = [("verify_prop_2_10",), ("verify_thm_3_2",), ("verify_cor_3_3",)]
+    for x in elems:
+        unsettled += [("verify_thm_2_1", x, tx) for tx in theorems._thm_2_1_subsets(f, x)
+                      if reference._thm_2_1_applies(f, x, tx)]
+        unsettled += [("verify_cor_2_2", x)] * reference._cor_2_2_applies(f, x)
+        unsettled += [("verify_prop_2_7", x)] * reference._prop_2_7_applies(f, x)
+    unsettled += [("verify_thm_2_9", s, u) for s in elems for u in elems
+                  if s < u and reference._thm_2_9_applies(f, s, u)]
+    unsettled += [("verify_prop_3_6",)] * reference._prop_3_6_applies(f)
+    tables = realize_all(g, PLAIN).keys
+    assert len({key[0] for key in unsettled}) == 8 and tables
+    assert calls == Counter({key: len(tables) for key in unsettled})
 
 
 def test_a_fresh_import_of_zdg_leaves_the_last_one_free():

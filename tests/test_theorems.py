@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
+import reference_theorems as reference
 from conftest import table_facts
 
 from zdg import cli, families, theorems
 from zdg.graph import connected_graphs, format_graph, from_edge_list
 from zdg.realize import BOOLEAN, PLAIN, realize_all
-from zdg.semigroup import table_from_rows, zero_divisor_graph
+from zdg.semigroup import MulTable, table_from_rows, zero_divisor_graph
 
 A1, A2, A3, X1, X2 = 1, 2, 3, 4, 5
 
@@ -128,6 +131,16 @@ def test_thm_2_9_refuses_pendant_products_that_leave_t_s():
     assert f.graph.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)]
     v = theorems.verify_thm_2_9(f, 1, 2)
     assert v.is_counterexample and v.witness == "4*4=1 leaves T_s | {0}"
+
+
+def test_thm_2_9_refuses_a_nilpotent_end_vertex():
+    # the graph above with 4*4 = 0: the edge 1-2 lies on no 4-cycle and
+    # T_1 | {0} = {0, 4} is closed, but the end vertex 4 is nilpotent
+    f = _facts(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)],
+               {(1, 5): 1, (2, 4): 2, (3, 3): 3, (3, 4): 3, (3, 5): 3, (4, 5): 3, (5, 5): 5})
+    v = theorems.verify_thm_2_9(f, 1, 2)
+    assert v.is_counterexample and v.witness == "4 is nilpotent in T_s"
+    assert reference.verify_thm_2_9(f, 1, 2) == v
 
 
 def test_edge_in_quadrilateral_matches_brute_force():
@@ -301,15 +314,15 @@ def test_thm_2_1_subsets_match_power_set(connected_upto_4, fixture_tables):
         tables.extend(realize_all(g, PLAIN).tables)
     for t in tables:
         f = table_facts(t)
-        reference = [
-            (x, tx, theorems.verify_thm_2_1(f, x, tx))
+        every = [
+            (x, tx, reference.verify_thm_2_1(f, x, tx))
             for x in t.nonzero()
             for r in range(t.n)
             for tx in combinations([e for e in t.nonzero() if e != x], r)
         ]
         swept = [v for v in theorems.all_verdicts(t) if v.theorem == "thm_2_1"]
-        assert _applicable(swept) == _applicable(v for _, _, v in reference), t.prod
-        assert swept == [v for x, tx, v in reference if _separated(t, x, tx)], t.prod
+        assert _applicable(swept) == _applicable(v for _, _, v in every), t.prod
+        assert swept == [v for x, tx, v in every if _separated(t, x, tx)], t.prod
 
 
 def test_nine_element_fixtures_check_only_pendant_sets(fixture_tables):
@@ -329,22 +342,6 @@ def test_verdict_serialization(fixture_tables):
     assert d["theorem"] == "cor_2_2" and d["hypotheses_met"] is True
 
 
-def _verifier_by_verifier(t):
-    """Every verdict of one table, each from a call of its verifier: the
-    reference for the verdicts the plan settles on the graph alone."""
-    f = table_facts(t)
-    elems = list(t.nonzero())
-    out = []
-    for x in elems:
-        for tx in theorems._thm_2_1_subsets(f, x):
-            out.append(theorems.verify_thm_2_1(f, x, tx))
-        out.append(theorems.verify_cor_2_2(f, x))
-        out.append(theorems.verify_prop_2_7(f, x))
-    out += [theorems.verify_thm_2_9(f, s, u) for s in elems for u in elems if s < u]
-    return out + [verify(f) for verify in (theorems.verify_prop_2_10, theorems.verify_thm_3_2,
-                                           theorems.verify_cor_3_3, theorems.verify_prop_3_6)]
-
-
 def test_plan_verdicts_match_table_by_table_sweep(connected_classes_upto_5, fixture_tables):
     # the plan is built once per graph and settles what the graph alone
     # decides; every table must get exactly what all_verdicts gives it alone
@@ -356,11 +353,11 @@ def test_plan_verdicts_match_table_by_table_sweep(connected_classes_upto_5, fixt
             for t in tables:
                 assert verdicts_of(t) == theorems.all_verdicts(t), t.prod
                 if g.n <= 4:
-                    assert verdicts_of(t) == _verifier_by_verifier(t), t.prod
+                    assert verdicts_of(t) == reference.verifier_by_verifier(t), t.prod
             swept += len(tables)
     assert swept == 7081
     for t in fixture_tables.values():
-        assert theorems.all_verdicts(t) == _verifier_by_verifier(t), t.prod
+        assert theorems.all_verdicts(t) == reference.verifier_by_verifier(t), t.prod
 
 
 def test_sweep_matches_verifier_by_verifier_on_relabelings(tmp_path, capsys):
@@ -378,7 +375,7 @@ def test_sweep_matches_verifier_by_verifier_on_relabelings(tmp_path, capsys):
             got = json.loads(capsys.readouterr().out)["verdicts"]
             tables = realize_all(g, mode).tables
             assert tables
-            want = [v.to_dict() for t in tables for v in _verifier_by_verifier(t)]
+            want = [v.to_dict() for t in tables for v in reference.verifier_by_verifier(t)]
             assert got == want
 
 
@@ -397,3 +394,99 @@ def test_plan_refuses_a_table_of_another_graph():
         theorems.plan(from_edge_list(3, [(0, 1)]))(lone)
     with pytest.raises(ValueError, match="2 nonzero elements, graph has 3"):
         theorems.plan(k3)(realize_all(families.complete(2), PLAIN).tables[0])
+
+
+def _perturbed(t):
+    """Copies of t with one nonzero product a*b, a <= b, moved to the next
+    nonzero element: in both of its cells, and for a < b in cell (a, b)
+    alone.  Every zero product stays, so every copy has t's graph."""
+    out = []
+    for a in t.nonzero():
+        for b in range(a, t.n + 1):
+            if t.prod[a][b] and t.n > 1:
+                v = t.prod[a][b] % t.n + 1
+                for cells in ({(a, b), (b, a)}, {(a, b)}) if a < b else ({(a, b)},):
+                    rows = [[v if (i, j) in cells else p for j, p in enumerate(row)]
+                            for i, row in enumerate(t.prod)]
+                    out.append(MulTable(t.n, tuple(map(tuple, rows))))
+    return out
+
+
+def _template(witness):
+    return re.sub(r"\d+", "#", re.sub(r"\[[^\]]*\]", "[]", witness))
+
+
+def test_one_plan_gives_each_table_its_own_verdicts(connected_classes_upto_5):
+    # one plan serves every table of its graph, realized or perturbed, in
+    # either order: a table fact kept in a graph stage would hand the next
+    # table the verdict of the one before.  fig4(1, 1, 0) adds applicable
+    # thm_2_9 and prop_2_10 instances.
+    witnesses = set()
+    for g in [g for g in connected_classes_upto_5 if g.n <= 4] + [families.fig4(1, 1, 0)]:
+        tables = [t for mode in (PLAIN, BOOLEAN) for t in realize_all(g, mode).tables]
+        tables += [p for t in tables for p in _perturbed(t)]
+        want = [reference.verifier_by_verifier(t) for t in tables]
+        verdicts_of = theorems.plan(g)
+        assert [verdicts_of(t) for t in tables] == want, g.edges()
+        assert [verdicts_of(t) for t in reversed(tables)] == want[::-1], g.edges()
+        witnesses |= {(v.theorem, _template(v.witness)) for vs in want for v in vs if v.witness}
+    # every witness a table check gives, but "# is nilpotent in T_s": a copy
+    # keeps each product zero or nonzero, so a nilpotent end vertex of s
+    # inside a closed T_s | {0} would square to 0 in a realized table too,
+    # which the claim rules out (test_thm_2_9_refuses_a_nilpotent_end_vertex
+    # covers it)
+    closure = {"#*#=# leaves S - tx", "x*x = # is neither # nor x"}
+    assert witnesses == {
+        *(("thm_2_1", w) for w in closure),
+        *(("cor_2_2", w) for w in closure),
+        ("prop_2_7", "#*#=# leaves tx | {#}"),
+        ("thm_2_9", "#*# = # outside N(s) & N(t)"),
+        ("thm_2_9", "#S = [] != {#, #}"),
+        ("thm_2_9", "#*#=# leaves T_s | {#}"),
+        ("prop_2_10", "#*# = # outside {#, s}"),
+        ("thm_3_2", "x=#: #*#=# leaves S_x"),
+        ("thm_3_2", "x=#: #*#=# leaves S_<=x"),
+        ("cor_3_3", "N(#) <= N(#) but #*# = #"),
+        ("cor_3_3", "absorption holds but not uniquely determined"),
+        ("prop_3_6", "#*# = # != #"),
+    }
+
+
+# sha256 of the stdout of `zdg theorems --sweep G`, as the code before the
+# graph stages wrote it
+_SWEEP_PINNED = {
+    ("m-nk 4 1", ()): "1b17fcac4f4fff266bfaf37e9ef20623b500dec1e92073784549909901734402",
+    ("m-nk 4 1", ("--json",)): "f2e2606ca33280916f96b608fe2bc6a291188b09ec4916d2db8cb7291e03037a",
+    ("m-nk 4 1", ("--boolean",)): "65e849e726ad3f56f957e12e2d4cfd3fd98f93c9bede1976504b1ea854b96e5b",
+    ("m-nk 4 1", ("--boolean", "--json")):
+        "afdcbf84c4d4b4f8ec46c9cccab2c8d39ffc674092f6cf8fd4c1ecfd70c8720a",
+    ("two-star 1 3", ()): "8dc203d62ee19361987bd63daaf9d6c98646d0b064d79ad396d84c61dc6bf015",
+    ("two-star 1 3", ("--json",)):
+        "0857114403d66bb3853c93e23e9ea92e6f0d4e071b76e8067643d3d001f71509",
+    ("two-star 1 3", ("--boolean",)):
+        "c8323db292c3320a698ccbd83ac067a486862df4e0fccdba950e5c6322d56322",
+    ("two-star 1 3", ("--boolean", "--json")):
+        "c1805916ebc976b6930f132fe3c9eab643c4621f4fdf1d9dd9d4d0854bacc923",
+    ("fig1 0 0", ()): "bf5be96459b360ba6a261f0125396b8772ac26d12121a9114ac51e213f1f458c",
+    ("fig1 0 0", ("--json",)): "690f23857595d1a72e902f06fc90083774670215f3f0096c2a0086ba1cc1fe28",
+    ("fig1 0 0", ("--boolean",)): "c8323db292c3320a698ccbd83ac067a486862df4e0fccdba950e5c6322d56322",
+    ("fig1 0 0", ("--boolean", "--json")):
+        "c1805916ebc976b6930f132fe3c9eab643c4621f4fdf1d9dd9d4d0854bacc923",
+    ("complete 4", ()): "e1ebcb182b7a169f6b97c76002178451739028203ea6b57f6925fcee4898fbf8",
+    ("complete 4", ("--json",)): "19b0f3052224ebedbf275d340870d8fba8def0ebb445396b38d00a725bf5d821",
+    ("complete 4", ("--boolean",)): "4a1f171ef2b9739c588bc7408b9f2a68f8ad2874eaef6000fc9f282af5e00155",
+    ("complete 4", ("--boolean", "--json")):
+        "fe690aab83810d53325b5b0deab8e89d2f2ec6ab34364d186605cef0603edb82",
+}
+_SWEEP_GRAPHS = {"m-nk 4 1": families.m_nk(4, 1), "two-star 1 3": families.two_star(1, 3),
+                 "fig1 0 0": families.fig1(0, 0), "complete 4": families.complete(4)}
+
+
+@pytest.mark.parametrize("name, flags", sorted(_SWEEP_PINNED),
+                         ids=[" ".join((name, *flags)) for name, flags in sorted(_SWEEP_PINNED)])
+def test_sweep_output_pinned(tmp_path, capsys, name, flags):
+    path = tmp_path / "g.zdg-graph"
+    path.write_text(format_graph(_SWEEP_GRAPHS[name]))
+    assert cli.main(["theorems", "--sweep", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _SWEEP_PINNED[name, flags]
