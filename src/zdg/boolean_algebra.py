@@ -23,6 +23,8 @@ from .graph import is_uniquely_complemented, neighborhood_meet_closed
 from .realize import BOOLEAN, DEFAULT_MAX_N, realize_all
 from .semigroup import MulTable, is_boolean, zero_divisor_graph
 
+RING_ISO_MAX_SIZE = 16  # ring_isomorphic refuses larger rings
+
 
 class LatticeError(ValueError):
     """A lattice or ring axiom failed; carries a witness description."""
@@ -291,7 +293,7 @@ def ring_from_realization(g: Graph, s: MulTable) -> BooleanRing:
     return ring
 
 
-def ring_isomorphic(r1: BooleanRing, r2: BooleanRing, max_size: int = 16):
+def ring_isomorphic(r1: BooleanRing, r2: BooleanRing):
     """A bijection preserving +, *, 0 and 1, as a tuple image list, or None.
 
     A ring isomorphism maps zero divisors to zero divisors, so it is an
@@ -302,8 +304,8 @@ def ring_isomorphic(r1: BooleanRing, r2: BooleanRing, max_size: int = 16):
     """
     if r1.size != r2.size:
         return None
-    if r1.size > max_size:
-        raise TooLargeError(f"ring isomorphism search capped at {max_size} elements")
+    if r1.size > RING_ISO_MAX_SIZE:
+        raise TooLargeError(f"ring isomorphism search capped at {RING_ISO_MAX_SIZE} elements")
     g1, g2 = ring_zero_divisor_graph(r1), ring_zero_divisor_graph(r2)
     pairs = [(a, b) for a in range(r1.size) for b in range(r1.size)]
     for p in isomorphisms(g1, g2):

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .boolean_algebra import BooleanRing
 from .graph import Graph, from_edge_list
-from .semigroup import MulTable, parse_table, table_from_rows
+from .semigroup import MulTable, parse_table
 
 _BASE_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]
 _BASE_NAMES = ["a1", "a2", "a3", "x1", "x2"]
@@ -108,40 +108,6 @@ def fig4(u: int, v: int, w: int) -> Graph:
 def two_star(m: int, n: int) -> Graph:
     """Two stars with m and n leaves and one edge joining the centers."""
     return _with_pendants([(0, 1)], ["a", "b"], [(0, "x", m), (1, "y", n)])
-
-
-def boolean_rpartite_table(sizes) -> MulTable:
-    """The idempotent table whose graph is the complete multipartite graph:
-    squares fix each element, distinct same-part elements multiply to the
-    part's first element, cross-part products are zero.
-
-    Needs at least two parts: with a single part no element multiplies to
-    zero, so the table would have no zero-divisor graph at all."""
-    sizes = list(sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ValueError("part sizes must be two or more positives")
-    n = sum(sizes)
-    first = []
-    part = []
-    start = 1
-    for s in sizes:
-        for k in range(s):
-            part.append(len(first))
-        first.append(start)
-        start += s
-    # part[e-1] is the part index of element e; first[i] its first element
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for x in range(1, n + 1):
-        for y in range(x, n + 1):
-            if x == y:
-                v = x
-            elif part[x - 1] == part[y - 1]:
-                v = first[part[x - 1]]
-            else:
-                v = 0
-            rows[x][y] = v
-            rows[y][x] = v
-    return table_from_rows(rows)
 
 
 def fixture_table(k: int) -> MulTable:

@@ -19,7 +19,10 @@ Aut(G) maps realizations of G onto realizations of G, so a complete
 enumeration searches one table per orbit: the one whose canonical key is
 least among its images (lex-leader pruning), and then expands each orbit
 into its labeled tables.  A search with a limit enumerates labeled tables
-directly, so its first tables do not depend on Aut(G).
+directly, so its first tables do not depend on Aut(G), and counts the
+orbits they meet.  The expansion and that count walk the orbits the same
+way, through _orbits.  A report stores its keys, orbit count and truncation
+flag; its labeled count and status are read off those.
 """
 
 from __future__ import annotations
@@ -273,25 +276,37 @@ def propagate(state: SearchState) -> Conflict | None:
 @dataclass(frozen=True)
 class RealizationReport:
     """Outcome of an enumeration: the canonical keys of the realizing
-    tables, in order, plus counts.
+    tables, in order, plus the orbit count and the truncation flag; the
+    labeled count and the status follow from those.
 
     keys is what the report stores; tables, the validated MulTables with
     those keys in the same order, is built on first read and kept.
     iso_class_count counts orbits of the listed tables under the action of
     Aut(G): the representatives the orbit search found, or for a limited
     search the orbits its tables meet.  truncated reports that the
-    enumeration stopped at the requested limit.  status is
-    none/unique/multiple by that count, except that a truncated report with
-    fewer than two orbits is unknown: the tables left out may open more.
+    enumeration stopped at the requested limit.
     """
 
     mode: str
     n: int
     keys: tuple[tuple[int, ...], ...]
-    labeled_count: int
     iso_class_count: int
-    status: str
     truncated: bool
+
+    @property
+    def labeled_count(self) -> int:
+        return len(self.keys)
+
+    @property
+    def status(self) -> str:
+        """none/unique/multiple by the orbit count, except that a truncated
+        report with fewer than two orbits is unknown: the tables left out
+        may open more."""
+        if self.iso_class_count >= 2:
+            return "multiple"
+        if self.truncated:
+            return "unknown"
+        return "unique" if self.iso_class_count else "none"
 
     @cached_property
     def tables(self) -> tuple[MulTable, ...]:
@@ -363,15 +378,30 @@ def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int]]]:
     return maps
 
 
+def _orbits(keys, maps) -> tuple[list[set[tuple[int, ...]]], set[tuple[int, ...]]]:
+    """The Aut(G) orbits the keys meet, in the order they are met, and their
+    union: walking the keys in order, a key no earlier orbit holds opens a
+    new orbit, the set of the keys of its images under maps (see
+    _image_maps).  So Aut(G) is applied once per orbit, not once per table.
+
+    The images need no MulTable of their own: each entry is p[key[k]], with
+    p a permutation _image_maps checked, so every entry of an image of a
+    validated table is in range by construction."""
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
+    for key in keys:
+        if key not in seen:
+            orbit = {tuple([p[key[k]] for k in idx]) for p, idx in maps}
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits, seen
+
+
 def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
     """Orbits under Aut(G) of the tables with the given canonical keys; the
     count of a limited search, whose tables need not be closed under Aut(G).
-
-    Walks the keys in the order given; a key already seen is skipped,
-    otherwise it opens a new orbit and the keys of all its Aut(G) images
-    are marked seen.  So Aut(G) is applied once per orbit, not once per
-    table, and the count is exact for any subset of tables, closed under
-    Aut(G) or not.  Aut(G) is not computed for fewer than two keys.
+    Exact for any subset of tables.  Aut(G) is not computed for fewer than
+    two keys.
 
     complete says the keys are every realization of g, so the set must be
     closed under Aut(G): each image of each orbit must be among the keys,
@@ -380,31 +410,17 @@ def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
     """
     if len(keys) < 2:
         return len(keys)
-    maps = _image_maps(g)
-    emitted = set(keys) if complete else None
-    seen: set[tuple[int, ...]] = set()
-    sizes = []
-    for key in keys:
-        if key in seen:
-            continue
-        images = {tuple([p[key[k]] for k in idx]) for p, idx in maps}
-        if complete and not images <= emitted:
-            raise AssertionError(f"search missed an Aut(G) image of table {key}")
-        seen |= images
-        sizes.append(len(images))
-    if complete and sum(sizes) != len(keys):
-        raise AssertionError(
-            f"orbit sizes sum to {sum(sizes)}, but {len(keys)} tables were emitted"
-        )
-    return len(sizes)
-
-
-def _status(count: int, truncated: bool) -> str:
-    if count >= 2:
-        return "multiple"
-    if truncated:
-        return "unknown"
-    return "unique" if count else "none"
+    orbits, union = _orbits(keys, _image_maps(g))
+    if complete:
+        missed = union.difference(keys)
+        if missed:
+            raise AssertionError(f"search missed {min(missed)}, an Aut(G) image of its tables")
+        total = sum(map(len, orbits))
+        if total != len(keys):
+            raise AssertionError(
+                f"orbit sizes sum to {total}, but {len(keys)} tables were emitted"
+            )
+    return len(orbits)
 
 
 def _pick_cell(state: SearchState) -> tuple[int, int] | None:
@@ -524,29 +540,22 @@ def _tables_from_keys(keys, n: int) -> tuple[MulTable, ...]:
     return tuple(MulTable(n, tuple([row((0,) + key) for row in rows])) for key in keys)
 
 
-def _expand_orbits(reps: list[MulTable], maps) -> list[tuple[int, ...]]:
-    """The sorted keys of every Aut(G) image of the representatives.
+def _expand_orbits(reps, maps) -> list[tuple[int, ...]]:
+    """The sorted keys of every Aut(G) image of the representatives, given
+    as sorted canonical keys of validated tables.
 
-    The images need no MulTable of their own: each entry is p[key[k]], with
-    p a permutation _image_maps checked and key that of a representative
-    _verify_solution checked as a validated MulTable, so every entry is in
-    range by construction.
-
-    AssertionError unless each representative is its orbit's least key and
-    the orbit sizes |Aut(G)| / |Stab(T)| sum to the number of keys, which a
-    repeated representative breaks.
+    AssertionError unless each representative opens an orbit of its own,
+    which a repeated representative breaks, the orbits are disjoint, so
+    their sizes |Aut(G)| / |Stab(T)| sum to the number of keys, and each
+    representative is its orbit's least key.
     """
-    keys: set[tuple[int, ...]] = set()
-    total = 0
-    for t in reps:
-        key = canonical_key(t)
-        images = {tuple([p[key[k]] for k in idx]) for p, idx in maps}
-        if min(images) != key:
-            raise AssertionError(f"table {key} is not the least key of its orbit")
-        keys |= images
-        total += len(images)
-    if total != len(keys):
+    orbits, keys = _orbits(reps, maps)
+    if len(orbits) != len(reps) or sum(map(len, orbits)) != len(keys):
+        total = sum(len(_orbits([key], maps)[1]) for key in reps)
         raise AssertionError(f"orbit sizes sum to {total}, but the orbits hold {len(keys)} tables")
+    for key, orbit in zip(reps, orbits):
+        if min(orbit) != key:
+            raise AssertionError(f"table {key} is not the least key of its orbit")
     return sorted(keys)
 
 
@@ -584,23 +593,13 @@ def realize_all(
             maps = _image_maps(g)
             tied = _symmetries(maps, root)
         _dfs(root, g, sols, None if limit is None else limit + 1, tied)
+    truncated = limit is not None and len(sols) > limit
+    keys = sorted(map(canonical_key, sols[:limit]))
     if maps is not None:
-        keys = _expand_orbits(sols, maps)
-        iso = len(sols)
-        truncated = False
+        iso, keys = len(keys), _expand_orbits(keys, maps)
     else:
-        truncated = limit is not None and len(sols) > limit
-        keys = sorted(map(canonical_key, sols[:limit]))
         iso = iso_class_count(keys, g, complete=not truncated)
-    return RealizationReport(
-        mode=mode,
-        n=g.n,
-        keys=tuple(keys),
-        labeled_count=len(keys),
-        iso_class_count=iso,
-        status=_status(iso, truncated),
-        truncated=truncated,
-    )
+    return RealizationReport(mode, g.n, tuple(keys), iso, truncated)
 
 
 def _per_table_class_count(tables, g: Graph) -> int:
@@ -661,13 +660,5 @@ def brute_force_realize(g: Graph, mode: str = PLAIN) -> RealizationReport:
             rec(idx + 1)
 
     rec(0)
-    iso = _per_table_class_count(sols, g)
-    return RealizationReport(
-        mode=mode,
-        n=n,
-        keys=tuple(sorted(map(canonical_key, sols))),
-        labeled_count=len(sols),
-        iso_class_count=iso,
-        status=_status(iso, False),
-        truncated=False,
-    )
+    keys = tuple(sorted(map(canonical_key, sols)))
+    return RealizationReport(mode, n, keys, _per_table_class_count(sols, g), False)

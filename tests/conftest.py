@@ -14,7 +14,7 @@ from hypothesis import settings
 
 from zdg import families, theorems
 from zdg.graph import Graph, bits, connected_graphs, from_edge_list, is_isomorphic
-from zdg.semigroup import MulTable, zero_divisor_graph
+from zdg.semigroup import MulTable, table_from_rows, zero_divisor_graph
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -127,6 +127,40 @@ def table_facts(t: MulTable) -> theorems.TableFacts:
     on one table; raises ValueError when some nonzero element is not a zero
     divisor."""
     return theorems.bind(theorems.graph_facts(zero_divisor_graph(t)), t)
+
+
+def boolean_rpartite_table(sizes) -> MulTable:
+    """The idempotent table whose graph is the complete multipartite graph:
+    squares fix each element, distinct same-part elements multiply to the
+    part's first element, cross-part products are zero.
+
+    Needs at least two parts: with a single part no element multiplies to
+    zero, so the table would have no zero-divisor graph at all."""
+    sizes = list(sizes)
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ValueError("part sizes must be two or more positives")
+    n = sum(sizes)
+    first = []
+    part = []
+    start = 1
+    for s in sizes:
+        for k in range(s):
+            part.append(len(first))
+        first.append(start)
+        start += s
+    # part[e-1] is the part index of element e; first[i] its first element
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for x in range(1, n + 1):
+        for y in range(x, n + 1):
+            if x == y:
+                v = x
+            elif part[x - 1] == part[y - 1]:
+                v = first[part[x - 1]]
+            else:
+                v = 0
+            rows[x][y] = v
+            rows[y][x] = v
+    return table_from_rows(rows)
 
 
 def attach_ends(g: Graph, assignments) -> Graph:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 
-from conftest import attach_ends, table_facts
+from conftest import attach_ends, boolean_rpartite_table, table_facts
 
 from zdg import families, theorems
 from zdg.boolean_algebra import (
@@ -129,7 +129,7 @@ def test_criterion_08_theorem_falsification_sweep(fixture_tables):
     start = time.monotonic()
     tables = list(fixture_tables.values())
     tables += [
-        families.boolean_rpartite_table(sizes)
+        boolean_rpartite_table(sizes)
         for sizes in ([1, 1], [2, 1], [2, 2], [3, 2], [2, 2, 1], [3, 3], [2, 2, 2])
     ]
     for g in _sweep_corpus():
@@ -226,7 +226,7 @@ def test_criterion_12_rpartite_construction_sweep():
         for sizes in partitions(total):
             if len(sizes) < 2:
                 continue
-            t = families.boolean_rpartite_table(sizes)
+            t = boolean_rpartite_table(sizes)
             assert check_axioms(t) == [], sizes
             assert all(t.prod[x][x] == x for x in t.nonzero()), sizes
             assert (

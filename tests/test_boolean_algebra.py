@@ -6,6 +6,7 @@ import pytest
 
 from zdg import families
 from zdg.boolean_algebra import (
+    RING_ISO_MAX_SIZE,
     BooleanGraphError,
     BooleanRing,
     LatticeError,
@@ -17,6 +18,7 @@ from zdg.boolean_algebra import (
     ring_zero_divisor_graph,
     verify_ring_axioms,
 )
+from zdg.errors import TooLargeError
 from zdg.graph import from_edge_list
 from zdg.realize import BOOLEAN, realize_all
 from zdg.semigroup import table_from_rows, zero_divisor_graph
@@ -256,6 +258,15 @@ def test_ring_isomorphic_refuses_an_edited_addition():
     row[2], row[3] = row[3], row[2]
     edited = BooleanRing(r.n, r.add[:1] + (tuple(row),) + r.add[2:], r.mul)
     assert ring_isomorphic(r, edited) is None
+
+
+def test_ring_isomorphic_refuses_rings_over_the_cap():
+    size = 2 * RING_ISO_MAX_SIZE  # the bit-vector ring F_2^5
+    add = tuple(tuple(a ^ b for b in range(size)) for a in range(size))
+    mul = tuple(tuple(a & b for b in range(size)) for a in range(size))
+    r = BooleanRing(size - 2, add, mul)
+    with pytest.raises(TooLargeError, match=f"capped at {RING_ISO_MAX_SIZE} elements"):
+        ring_isomorphic(r, r)
 
 
 def test_uniquely_determined_iff_absorption_for_boolean_corpus():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import attach_ends, attach_graph
+from conftest import attach_ends, attach_graph, boolean_rpartite_table
 
 from zdg import families
 from zdg.realize import realize_all
@@ -97,7 +97,7 @@ def test_rpartite_tables_sweep():
         for sizes in _partitions(total):
             if len(sizes) < 2:
                 continue
-            t = families.boolean_rpartite_table(sizes)
+            t = boolean_rpartite_table(sizes)
             assert not check_axioms(t), sizes
             assert is_boolean(t), sizes
             assert (
@@ -105,14 +105,14 @@ def test_rpartite_tables_sweep():
                 == families.complete_multipartite(sizes).adj
             ), sizes
     with pytest.raises(ValueError):
-        families.boolean_rpartite_table([3])
+        boolean_rpartite_table([3])
 
 
 def test_rpartite_products():
-    t = families.boolean_rpartite_table([2, 1])
+    t = boolean_rpartite_table([2, 1])
     assert t.prod[1][2] == 1  # same part collapses to the first element
     assert t.prod[1][3] == 0
-    t = families.boolean_rpartite_table([1, 1])
+    t = boolean_rpartite_table([1, 1])
     assert zero_divisor_graph(t).edges() == [(0, 1)]
 
 

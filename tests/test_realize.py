@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import boolean_rpartite_table
+
 import zdg.realize
 from zdg import families
 from zdg.boolean_algebra import check_boolean_graph_conditions
@@ -64,7 +66,7 @@ def test_two_star_boolean_none_plain_some():
 
 def test_k22_boolean_contains_rpartite_construction():
     rep = realize_all(families.complete_bipartite(2, 2), BOOLEAN)
-    want = families.boolean_rpartite_table([2, 2]).prod
+    want = boolean_rpartite_table([2, 2]).prod
     assert any(t.prod == want for t in rep.tables)
 
 
@@ -357,13 +359,17 @@ def _labeled_enumeration(monkeypatch, g, mode):
 @pytest.mark.parametrize("mode", [PLAIN, BOOLEAN])
 def test_orbit_count_matches_per_table_formula(monkeypatch, connected_classes_upto_5, mode):
     # the orbit search, expanded, reports exactly the labeled enumeration's
-    # tables, and as many orbits as the per-table formula finds among them
+    # tables, and as many orbits as the per-table formula finds among them;
+    # so does a limited search that keeps every table, whose orbits are
+    # counted and checked closed under Aut(G) by iso_class_count
     for g in connected_classes_upto_5:
         labeled = _labeled_enumeration(monkeypatch, g, mode)
         count = _per_table_class_count(labeled.tables, g)
         status = "multiple" if count > 1 else "unique" if count else "none"
         want = dict(labeled.to_dict(), iso_class_count=count, status=status)
         assert realize_all(g, mode).to_dict() == want, g.edges()
+        limit = max(1, labeled.labeled_count)
+        assert realize_all(g, mode, limit=limit).to_dict() == want, g.edges()
 
 
 @pytest.mark.parametrize("limit", [5, 50, 215])

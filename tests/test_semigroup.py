@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import table_facts
+from conftest import boolean_rpartite_table, table_facts
 
 from zdg import families
 from zdg.graph import diameter, is_connected, is_uniquely_determined
@@ -120,10 +120,10 @@ def test_ideal_checks(fixture_tables):
 
 
 def test_boolean_and_reduced(fixture_tables):
-    assert is_boolean(families.boolean_rpartite_table([2, 2, 1]))
+    assert is_boolean(boolean_rpartite_table([2, 2, 1]))
     assert not is_boolean(fixture_tables[1])  # a1*a1 = 0
     assert not is_reduced(fixture_tables[5])  # a1 is nilpotent
-    assert is_reduced(families.boolean_rpartite_table([3, 1]))
+    assert is_reduced(boolean_rpartite_table([3, 1]))
 
 
 def _powers_reach_zero(t, x):
@@ -164,7 +164,7 @@ def _classes(t):
 
 
 def test_equivalence_classes_of_rpartite():
-    t = families.boolean_rpartite_table([2, 1])  # a11, a12 | a21
+    t = boolean_rpartite_table([2, 1])  # a11, a12 | a21
     classes, lower = _classes(t)
     assert classes[1] == {1, 2}
     assert lower[3] == {3}

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import pytest
 
 import reference_theorems as reference
-from conftest import table_facts
+from conftest import boolean_rpartite_table, table_facts
 
 from zdg import cli, families, theorems
 from zdg.graph import connected_graphs, format_graph, from_edge_list
@@ -158,7 +158,7 @@ def test_edge_in_quadrilateral_matches_brute_force():
 
 def test_prop_2_10_on_boolean_star():
     # star: center is the unique maximal-degree vertex and is idempotent
-    t = families.boolean_rpartite_table([1, 3])
+    t = boolean_rpartite_table([1, 3])
     v = theorems.verify_prop_2_10(table_facts(t))
     assert v.hypotheses_met and v.conclusion_holds
 
@@ -237,7 +237,7 @@ def test_thm_3_2_refuses_a_lower_set_that_is_not_closed():
 
 def test_thm_3_2_and_cor_3_3_on_rpartite():
     for sizes in ([2, 2], [2, 1], [3, 2, 1]):
-        t = families.boolean_rpartite_table(sizes)
+        t = boolean_rpartite_table(sizes)
         v = theorems.verify_thm_3_2(table_facts(t))
         assert v.hypotheses_met and v.conclusion_holds, v
         v = theorems.verify_cor_3_3(table_facts(t))
@@ -254,7 +254,7 @@ def test_prop_3_6_consistency(fixture_tables):
     # fixture 5 is not reduced, so not applicable
     v = theorems.verify_prop_3_6(table_facts(fixture_tables[5]))
     assert not v.hypotheses_met
-    t = families.boolean_rpartite_table([1, 1, 1])
+    t = boolean_rpartite_table([1, 1, 1])
     v = theorems.verify_prop_3_6(table_facts(t))
     assert v.hypotheses_met and v.conclusion_holds
 
