@@ -16,13 +16,16 @@ search's own constraints.  A naive brute-force enumerator over all symmetric
 tables (n <= 4) serves as an independent oracle.
 
 Aut(G) maps realizations of G onto realizations of G, so a complete
-enumeration searches one table per orbit: the one whose canonical key is
-least among its images (lex-leader pruning), and then expands each orbit
-into its labeled tables.  A search with a limit enumerates labeled tables
-directly, so its first tables do not depend on Aut(G), and counts the
-orbits they meet.  The expansion and that count walk the orbits the same
-way, through _orbits.  A report stores its keys, orbit count and truncation
-flag; its labeled count and status are read off those.
+enumeration searches one table per orbit: the least among its images when
+cells are read in a static order, the root's open cells by branching rank
+(lex-leader pruning, valid for any fixed order), and then expands each
+orbit into its labeled tables.  While an image is tied, the search branches
+in that order too, so comparisons settle near the root.  A search with a
+limit enumerates labeled tables directly, so its first tables do not
+depend on Aut(G), and counts the orbits they meet.  The expansion and that
+count walk the orbits the same way, through _orbits.  A report stores its
+keys, orbit count and truncation flag; its labeled count and status are
+read off those.
 """
 
 from __future__ import annotations
@@ -423,23 +426,18 @@ def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
     return len(orbits)
 
 
-def _pick_cell(state: SearchState) -> tuple[int, int] | None:
-    """The unknown cell to branch on, or None when the table is complete.
-
-    Cells rank by fewest candidates (fail first), then by least
-    deg(x) + deg(y) in G, then by cell.  The first two keys do not depend on
-    how G's vertices are numbered, so the cell index only breaks ties
-    between cells alike on both.
-    """
+def _rank(state: SearchState, cell: tuple[int, int]) -> tuple:
+    """Where an open cell stands in the branching order: fewest candidates
+    (fail first), then least deg(x) + deg(y) in G, then cell.  The first two
+    keys do not depend on how G's vertices are numbered, so the cell index
+    only breaks ties between cells alike on both."""
     deg = state.deg
-    best = None
-    best_rank = None
-    for cell, m in state.domains.items():
-        rank = (m.bit_count(), deg[cell[0]] + deg[cell[1]], cell)
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best = cell
-    return best
+    return (state.domains[cell].bit_count(), deg[cell[0]] + deg[cell[1]], cell)
+
+
+def _pick_cell(state: SearchState) -> tuple[int, int] | None:
+    """The unknown cell of least _rank, or None when the table is complete."""
+    return min(state.domains, key=lambda cell: _rank(state, cell), default=None)
 
 
 def _verify_solution(state: SearchState, g: Graph) -> MulTable:
@@ -461,21 +459,30 @@ def _verify_solution(state: SearchState, g: Graph) -> MulTable:
     return t
 
 
-def _symmetries(maps, root: SearchState) -> list[tuple[tuple, tuple[int, ...], int]]:
-    """The lex-leader comparisons of the search rooted at root: one entry
-    (pairs, p, 0) per non-identity automorphism p, where pairs lists, in key
-    order, each open cell (i, j) with the cell (q[i], q[j]) its image reads.
+def _static_order(root: SearchState) -> list[int]:
+    """The key positions of the cells root left open, by _rank at root: the
+    order in which the orbit search compares images and, while some image is
+    tied, branches.
 
     Cells root decided are left out.  init_state reads only G and propagate
     has a single greatest fixpoint, so the root state is Aut(G)-invariant:
-    every decided cell compares equal under every p.
+    every decided cell compares equal under every automorphism.
     """
-    n = root.n
+    cells = _key_cells(root.n)
+    return sorted(
+        (k for k, cell in enumerate(cells) if cell in root.domains),
+        key=lambda k: _rank(root, cells[k]),
+    )
+
+
+def _symmetries(maps, n: int, order: list[int]) -> list[tuple[tuple, tuple[int, ...], int]]:
+    """The lex-leader comparisons of the search: one entry (pairs, p, 0) per
+    non-identity automorphism p, where pairs lists each cell (i, j) of order
+    with the cell (q[i], q[j]) its image reads."""
     cells = _key_cells(n)
-    open_ = [k for k, cell in enumerate(cells) if cell in root.domains]
     identity = tuple(range(n + 1))
     return [
-        (tuple(cells[k] + cells[idx[k]] for k in open_), p, 0)
+        (tuple(cells[k] + cells[idx[k]] for k in order), p, 0)
         for p, idx in maps
         if p != identity
     ]
@@ -483,10 +490,10 @@ def _symmetries(maps, root: SearchState) -> list[tuple[tuple, tuple[int, ...], i
 
 def _least_so_far(T: list[list[int]], tied: list) -> list | None:
     """Resume each comparison of the table with one of its images, from the
-    position where it stopped: the key cell T[i][j] against p[T[a][b]].  An
-    image stays tied while either cell is unknown and is dropped once it is
-    larger; None once some image is smaller, as it stays in every
-    completion, so the table cannot be its orbit's least key."""
+    position in the static order where it stopped: the cell T[i][j] against
+    p[T[a][b]].  An image stays tied while either cell is unknown and is
+    dropped once it is larger; None once some image is smaller, as it stays
+    in every completion, so the table cannot be its orbit's least."""
     still = []
     for pairs, p, at in tied:
         for k in range(at, len(pairs)):
@@ -511,13 +518,21 @@ def _dfs(
 
     tied holds the images still compared with the table (see _symmetries);
     a node where one of them is already smaller is pruned, so with the
-    symmetries of G each solution is the least key of its orbit.
+    symmetries of G each solution is its orbit's least in the static order.
+    While one is tied, the node branches on the first open cell of that
+    order, none of which lies before where a tied comparison stopped; once
+    none is, on the cell _pick_cell chooses.
     """
     if tied:
         tied = _least_so_far(state.table, tied)
         if tied is None:
             return True
-    cell = _pick_cell(state)
+    if tied:
+        pairs, _, at = tied[0]
+        T = state.table
+        cell = next((i, j) for i, j, _, _ in pairs[at:] if T[i][j] == UNKNOWN)
+    else:
+        cell = _pick_cell(state)
     if cell is None:
         out.append(_verify_solution(state, g))
         return cap is None or len(out) < cap
@@ -540,21 +555,24 @@ def _tables_from_keys(keys, n: int) -> tuple[MulTable, ...]:
     return tuple(MulTable(n, tuple([row((0,) + key) for row in rows])) for key in keys)
 
 
-def _expand_orbits(reps, maps) -> list[tuple[int, ...]]:
+def _expand_orbits(reps, maps, order: list[int]) -> list[tuple[int, ...]]:
     """The sorted keys of every Aut(G) image of the representatives, given
     as sorted canonical keys of validated tables.
 
     AssertionError unless each representative opens an orbit of its own,
     which a repeated representative breaks, the orbits are disjoint, so
     their sizes |Aut(G)| / |Stab(T)| sum to the number of keys, and each
-    representative is its orbit's least key.
+    representative is its orbit's least key read at the positions of order,
+    the search's static order.  The positions left out were decided at the
+    root and are equal across an orbit, so that reading tells its keys apart.
     """
     orbits, keys = _orbits(reps, maps)
     if len(orbits) != len(reps) or sum(map(len, orbits)) != len(keys):
         total = sum(len(_orbits([key], maps)[1]) for key in reps)
         raise AssertionError(f"orbit sizes sum to {total}, but the orbits hold {len(keys)} tables")
+    rank = itemgetter(*order)
     for key, orbit in zip(reps, orbits):
-        if min(orbit) != key:
+        if min(orbit, key=rank) != key:
             raise AssertionError(f"table {key} is not the least key of its orbit")
     return sorted(keys)
 
@@ -591,12 +609,13 @@ def realize_all(
         tied = []
         if limit is None and root.domains:
             maps = _image_maps(g)
-            tied = _symmetries(maps, root)
+            order = _static_order(root)
+            tied = _symmetries(maps, g.n, order)
         _dfs(root, g, sols, None if limit is None else limit + 1, tied)
     truncated = limit is not None and len(sols) > limit
     keys = sorted(map(canonical_key, sols[:limit]))
     if maps is not None:
-        iso, keys = len(keys), _expand_orbits(keys, maps)
+        iso, keys = len(keys), _expand_orbits(keys, maps, order)
     else:
         iso = iso_class_count(keys, g, complete=not truncated)
     return RealizationReport(mode, g.n, tuple(keys), iso, truncated)

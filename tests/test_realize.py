@@ -106,10 +106,14 @@ _SEARCHES = {
     "K5": (families.complete(5), PLAIN),
     "K2,3": (families.complete_bipartite(2, 3), PLAIN),
     "K1,4": (families.complete_bipartite(1, 4), PLAIN),
+    "K1,5": (families.complete_bipartite(1, 5), PLAIN),
+    "K2,4": (families.complete_bipartite(2, 4), PLAIN),
+    "K3,3": (families.complete_bipartite(3, 3), PLAIN),
     "K2,2,1": (families.complete_multipartite([2, 2, 1]), PLAIN),
     "K2,2,2": (families.complete_multipartite([2, 2, 2]), PLAIN),
     "m-nk 5 1": (families.m_nk(5, 1), PLAIN),
     "fig4 2 2 2": (families.fig4(2, 2, 2), PLAIN),
+    "m-nk 5 2": (families.m_nk(5, 2), PLAIN),
     "m-nk 6 2": (families.m_nk(6, 2), PLAIN),
     "m-nk 7 2": (families.m_nk(7, 2), PLAIN),
     "boolean K3,3": (families.complete_bipartite(3, 3), BOOLEAN),
@@ -155,6 +159,10 @@ _PINNED = {
     "fig4 2 2 2": (216, 10, "832a34ab8f0d0173e947ad59a97d2a3ba39920f77d41d8f082eba52796498093"),
     "m-nk 7 2": (5, 1, "8d78b8b6bc4e62f27ffc208b6d8afe3dbf6b3d4825894d567aae2a1977aac3d1"),
     "boolean K3,3": (81, 3, "feb70872eef2593c8ddeeb1782ab338edb349792ef43904cd34947c9406a3cbc"),
+    # computed with the orbit search comparing and branching in key order
+    "K1,5": (72897, 773, "4f86f2a1e32660c0c89d68b0d973aa17aa0e8080d7805c1547f6ac29a1869592"),
+    "K2,4": (11136, 280, "36671113a48e5fc3ce4bf825f8773c8a69ae2c77e8f29e6a45e1d0ebf994052f"),
+    "K3,3": (6561, 120, "b996a16d533d30d9931759c34824c2d210112cce596d386c9d2f969f07f1d43b"),
 }
 
 
@@ -165,6 +173,35 @@ def test_search_output_pinned(name):
     keys = sorted(canonical_key(t) for t in rep.tables)
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert (rep.labeled_count, rep.iso_class_count, digest) == _PINNED[name]
+
+
+# _dfs calls of the orbit search that branches in its static order while an
+# image is tied: an image found smaller near the root prunes a whole subtree
+_NODE_CEILINGS = {
+    "K1,5": 2289,
+    "K2,4": 812,
+    "K3,3": 319,
+    "K2,3": 122,
+    "m-nk 5 1": 321,
+    "m-nk 5 2": 12,
+    "m-nk 6 2": 13,
+    "m-nk 7 2": 14,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NODE_CEILINGS))
+def test_orbit_search_prunes_near_the_root(monkeypatch, name):
+    real = zdg.realize._dfs
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(zdg.realize, "_dfs", counted)
+    graph, mode = _SEARCHES[name]
+    realize_all(graph, mode)
+    assert calls[0] <= _NODE_CEILINGS[name]
 
 
 def _f2k_graph(k):
@@ -430,6 +467,27 @@ def test_orbit_expansion_catches_a_representative_not_least(monkeypatch):
     _edit_search_output(monkeypatch, trade)
     with pytest.raises(AssertionError, match="not the least key of its orbit"):
         realize_all(_K2)
+
+
+def test_orbit_expansion_compares_in_the_search_order(monkeypatch):
+    # on P3 the search reads the center's square 2*2 first, then 1*3, 1*1 and
+    # 3*3; the orbit of keys (1, 0, 3, 0, 0, 1) and (3, 0, 1, 0, 0, 3) under
+    # the swap of 1 and 3 has the first least in key order, the second in
+    # the search's order, which reads (0, 3, 1, 1) against (0, 1, 3, 3)
+    root = init_state(_P3)
+    assert propagate(root) is None
+    order = zdg.realize._static_order(root)
+    assert order != sorted(order)
+    key_least = table_from_rows([[0, 0, 0, 0], [0, 1, 0, 3], [0, 0, 0, 0], [0, 3, 0, 1]])
+
+    def trade(out):
+        found = [t for t in out if canonical_key(t) == (3, 0, 1, 0, 0, 3)]
+        assert len(found) == 1
+        out[out.index(found[0])] = key_least
+
+    _edit_search_output(monkeypatch, trade)
+    with pytest.raises(AssertionError, match="not the least key of its orbit"):
+        realize_all(_P3)
 
 
 @pytest.mark.parametrize(
