@@ -9,28 +9,29 @@ The constraint system on the (n+1) x (n+1) symmetric table:
   * diagonal entries are free (boolean mode pins x*x = x);
   * the whole table is associative.
 
-Backtracking with constraint propagation does the real work.  Each complete
-table is checked again at the leaf against the definitions in zdg.semigroup
-(associativity, the zero-divisor graph, idempotence), not against the
-search's own constraints.  A naive brute-force enumerator over all symmetric
-tables (n <= 4) serves as an independent oracle.
+Backtracking with constraint propagation does the real work.  Below the
+root, propagation checks only the equations the root left open: the cells
+the root decided never change, so an equation they settle cannot fire again.
+Each complete table is checked again at the leaf against the definitions in
+zdg.semigroup (associativity, the zero-divisor graph, idempotence), not
+against the search's own constraints.  A naive brute-force enumerator over
+all symmetric tables (n <= 4) serves as an independent oracle.
 
 Aut(G) maps realizations of G onto realizations of G, so a complete
 enumeration searches one table per orbit: the least among its images when
-cells are read in a static order, the root's open cells by branching rank
-(lex-leader pruning, valid for any fixed order), and then expands each
-orbit into its labeled tables.  While an image is tied, the search branches
-in that order too, so comparisons settle near the root.  A search with a
-limit enumerates labeled tables directly, so its first tables do not
-depend on Aut(G), and counts the orbits they meet.  The expansion and that
-count walk the orbits the same way, through _orbits.  A report stores its
-keys, orbit count and truncation flag; its labeled count and status are
-read off those.
+cells are read in a static order, the root's open cells with the
+off-diagonal ones first (lex-leader pruning, valid for any fixed order), and
+then expands each orbit into its labeled tables.  While an image is tied,
+the search branches in that order too, so comparisons settle near the root.
+A search with a limit enumerates labeled tables directly, so its first
+tables do not depend on Aut(G), and counts the orbits they meet.  The
+expansion and that count walk the orbits the same way, through _orbits.  A
+report stores its keys, orbit count and truncation flag; its labeled count
+and status are read off those.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -76,16 +77,21 @@ class SearchState:
 
     table[i][j] is an element id or UNKNOWN; unknown cells (i <= j) have an
     entry in domains.  deg, the branching tie-break, is computed once from G
-    and shared by every copy.  dirty holds the elements whose cells were
-    filled or narrowed since the last propagation fixpoint: both coordinates
-    of each such cell.  A fresh state marks every element, so its first
-    propagate checks every triple; a branch assigns one cell and marks its
-    two coordinates.
+    and shared by every copy, and so is live: live[x] lists pairs (y, bs),
+    the b of the equations (a, b, c), {a, c} = {x, y}, that propagate
+    checks.  init_state lists every equation, sharing one range of b across
+    the pairs; realize_all replaces live, never mutating it, by the
+    equations its root propagation left open.  dirty holds the elements
+    whose cells were filled or narrowed since the last propagation fixpoint:
+    both coordinates of each such cell.  A fresh state marks every element,
+    so its first propagate checks every triple; a branch assigns one cell
+    and marks its two coordinates.
     """
 
     n: int
     mode: str
     deg: tuple[int, ...]  # element-indexed degrees in G, deg[0] = 0
+    live: tuple  # live[x]: pairs (y, bs), the equations propagate checks
     table: list[list[int]]
     domains: dict[tuple[int, int], int]
     dirty: set[int]
@@ -95,6 +101,7 @@ class SearchState:
             self.n,
             self.mode,
             self.deg,
+            self.live,
             [row[:] for row in self.table],
             dict(self.domains),
             set(self.dirty),
@@ -160,7 +167,9 @@ def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
                     mask |= 1
             domains[(x, y)] = mask  # a dead cell (0) is left for propagate to report
     deg = (0,) + tuple(g.degree(v) for v in range(n))
-    return SearchState(n, mode, deg, table, domains, set(range(1, n + 1)))
+    every = range(1, n + 1)
+    live = ((),) + (tuple((y, every) for y in every),) * n
+    return SearchState(n, mode, deg, live, table, domains, set(every))
 
 
 def propagate(state: SearchState) -> Conflict | None:
@@ -177,22 +186,25 @@ def propagate(state: SearchState) -> Conflict | None:
     The work is incremental.  Every assignment and every narrowing marks
     both coordinates of its cell in state.dirty.  Each round runs the
     singleton sweep, takes the dirty elements and checks only the triples
-    (a, b, c), a <= c, with a or c among them.  No triple is missed: each
+    (a, b, c), a <= c, with a or c among them: for each dirty x, the
+    equations of state.live[x], each pair once.  No triple is missed: each
     cell a triple's rule reads has a or c as a coordinate -- (a, b), (b, c),
     (ab, c), (a, bc) and the pruning lookups (w, a) and (w, c) -- so a triple
     none of whose cells changed since its last check cannot fire.  The rules
     only shrink candidate sets, so they have one greatest fixpoint, reached
     whatever the order of checks: the state is the same as if every triple
-    were checked every round.  A fresh state has every element dirty, so the
-    root call checks every triple.
+    were checked every round.  A fresh state has every element dirty and
+    every equation live, so the root call checks every triple; below the
+    root, the equations the root settled are no longer live (see
+    _drop_settled).
 
     Returns a Conflict if a candidate set empties or forced values clash;
     the state is then dead.
     """
-    n = state.n
     T = state.table
     dom = state.domains
     dirty = state.dirty
+    live = state.live
 
     def prune(cell: tuple[int, int], other: int, want: int) -> Conflict | None:
         # keep candidates w of cell for which w*other can still equal want
@@ -230,21 +242,20 @@ def propagate(state: SearchState) -> Conflict | None:
                 conflict = state.assign(cell[0], cell[1], m.bit_length() - 1)
                 if conflict:
                     return conflict
-        # associativity sweep over the triples (a, b, c) with a <= c (the
-        # rest follow by commutativity) and a or c dirty
-        marked = sorted(dirty)
-        rows = [
-            (a, range(a, n + 1) if a in dirty else marked[bisect_right(marked, a):])
-            for a in range(1, marked[-1] + 1)
-        ]
+        # associativity sweep over the live triples (a, b, c), a <= c (the
+        # rest follow by commutativity), with a or c dirty
+        marked = set(dirty)
         dirty.clear()
-        for b in range(1, n + 1):
-            Tb = T[b]
-            for a, cols in rows:
+        for x in marked:
+            for y, bs in live[x]:
+                if y < x and y in marked:
+                    continue  # checked under y
+                a, c = (x, y) if x <= y else (y, x)
                 Ta = T[a]
-                ab = Ta[b]
-                for c in cols:
-                    bc = Tb[c]
+                Tc = T[c]
+                for b in bs:
+                    ab = Ta[b]
+                    bc = Tc[b]
                     if ab == UNKNOWN:
                         if bc == UNKNOWN or Ta[bc] == UNKNOWN:
                             continue
@@ -274,6 +285,31 @@ def propagate(state: SearchState) -> Conflict | None:
                     if conflict:
                         return Conflict(conflict.cell, (a, b, c), conflict.reason)
     return None
+
+
+def _drop_settled(root: SearchState) -> None:
+    """Replace root.live by the equations (a, b, c) with one of (a, b),
+    (b, c), (ab, c) and (a, bc) still unknown at root, a propagation
+    fixpoint without conflict.  Cells known there stay known in every state
+    below it, and an equation whose four cells are known has equal sides, so
+    no rule of it can fire again."""
+    T = root.table
+    every = range(1, root.n + 1)
+    live = [[] for _ in range(root.n + 1)]
+    for a in every:
+        Ta = T[a]
+        for c in range(a, root.n + 1):
+            Tc = T[c]
+            bs = tuple(
+                b for b in every
+                if Ta[b] == UNKNOWN or Tc[b] == UNKNOWN
+                or T[Ta[b]][c] == UNKNOWN or Ta[Tc[b]] == UNKNOWN
+            )
+            if bs:
+                live[a].append((c, bs))
+                if c != a:
+                    live[c].append((a, bs))
+    root.live = tuple(map(tuple, live))
 
 
 @dataclass(frozen=True)
@@ -427,10 +463,10 @@ def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
 
 
 def _rank(state: SearchState, cell: tuple[int, int]) -> tuple:
-    """Where an open cell stands in the branching order: fewest candidates
-    (fail first), then least deg(x) + deg(y) in G, then cell.  The first two
-    keys do not depend on how G's vertices are numbered, so the cell index
-    only breaks ties between cells alike on both."""
+    """Where an open cell stands in _pick_cell's branching order: fewest
+    candidates (fail first), then least deg(x) + deg(y) in G, then cell.  The
+    first two keys do not depend on how G's vertices are numbered, so the
+    cell index only breaks ties between cells alike on both."""
     deg = state.deg
     return (state.domains[cell].bit_count(), deg[cell[0]] + deg[cell[1]], cell)
 
@@ -460,19 +496,24 @@ def _verify_solution(state: SearchState, g: Graph) -> MulTable:
 
 
 def _static_order(root: SearchState) -> list[int]:
-    """The key positions of the cells root left open, by _rank at root: the
-    order in which the orbit search compares images and, while some image is
-    tied, branches.
+    """The key positions of the cells root left open: the order in which the
+    orbit search compares images and, while some image is tied, branches.
+    Off-diagonal cells come before diagonal ones, then least deg(x) + deg(y)
+    in G, then fewest candidates at root, then cell; all but the last key
+    are label-free.
 
     Cells root decided are left out.  init_state reads only G and propagate
     has a single greatest fixpoint, so the root state is Aut(G)-invariant:
     every decided cell compares equal under every automorphism.
     """
     cells = _key_cells(root.n)
-    return sorted(
-        (k for k, cell in enumerate(cells) if cell in root.domains),
-        key=lambda k: _rank(root, cells[k]),
-    )
+    deg = root.deg
+
+    def rank(k: int) -> tuple:
+        i, j = cells[k]
+        return (i == j, deg[i] + deg[j], root.domains[i, j].bit_count(), (i, j))
+
+    return sorted((k for k, cell in enumerate(cells) if cell in root.domains), key=rank)
 
 
 def _symmetries(maps, n: int, order: list[int]) -> list[tuple[tuple, tuple[int, ...], int]]:
@@ -606,6 +647,8 @@ def realize_all(
     sols: list[MulTable] = []
     maps = None
     if propagate(root) is None:
+        if root.domains:
+            _drop_settled(root)
         tied = []
         if limit is None and root.domains:
             maps = _image_maps(g)

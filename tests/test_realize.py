@@ -146,6 +146,35 @@ def test_incremental_propagation_reaches_the_full_fixpoint(monkeypatch, name):
     assert calls[0] > 1
 
 
+@pytest.mark.parametrize(
+    "name", ["K5", "K2,3", "K1,4", "m-nk 5 1", "fig4 2 2 2", "m-nk 6 2", "boolean K3,3"]
+)
+def test_settled_equations_miss_nothing(monkeypatch, name):
+    # below the root propagate checks only the equations the root left
+    # open; after each successful propagate, checking every equation of
+    # init_state again (every element dirty) must change no cell and no
+    # candidate set
+    real = zdg.realize.propagate
+    graph, mode = _SEARCHES[name]
+    every = init_state(graph, mode).live
+    calls = [0]
+
+    def checked(state):
+        conflict = real(state)
+        if conflict is None:
+            calls[0] += 1
+            full = state.copy()
+            full.live = every
+            full.dirty.update(range(1, state.n + 1))
+            assert real(full) is None
+            assert full.table == state.table and full.domains == state.domains
+        return conflict
+
+    monkeypatch.setattr(zdg.realize, "propagate", checked)
+    realize_all(graph, mode)
+    assert calls[0] > 1
+
+
 # labeled count, orbit count and sha256 of the sorted canonical keys, computed
 # with a propagation that checked every triple on every round; beyond the
 # oracle's n <= 4, these catch a search that loses or gains tables, a whole
@@ -178,14 +207,16 @@ def test_search_output_pinned(name):
 # _dfs calls of the orbit search that branches in its static order while an
 # image is tied: an image found smaller near the root prunes a whole subtree
 _NODE_CEILINGS = {
-    "K1,5": 2289,
-    "K2,4": 812,
+    "K1,5": 1888,
+    "K2,4": 579,
     "K3,3": 319,
-    "K2,3": 122,
-    "m-nk 5 1": 321,
-    "m-nk 5 2": 12,
-    "m-nk 6 2": 13,
-    "m-nk 7 2": 14,
+    "K2,3": 119,
+    "K5": 115,
+    "m-nk 5 1": 288,
+    "fig4 2 2 2": 39,
+    "m-nk 5 2": 4,
+    "m-nk 6 2": 5,
+    "m-nk 7 2": 6,
 }
 
 
@@ -214,6 +245,8 @@ def _f2k_graph(k):
 
 _RELABELED = {
     **{f"m-nk {k} 2": (families.m_nk(k, 2), PLAIN, 12) for k in range(5, 9)},
+    "m-nk 5 1": (families.m_nk(5, 1), PLAIN, 12),
+    "fig4 2 2 2": (families.fig4(2, 2, 2), PLAIN, 12),
     "boolean F2^5": (_f2k_graph(5), BOOLEAN, 30),
 }
 
@@ -470,10 +503,10 @@ def test_orbit_expansion_catches_a_representative_not_least(monkeypatch):
 
 
 def test_orbit_expansion_compares_in_the_search_order(monkeypatch):
-    # on P3 the search reads the center's square 2*2 first, then 1*3, 1*1 and
-    # 3*3; the orbit of keys (1, 0, 3, 0, 0, 1) and (3, 0, 1, 0, 0, 3) under
-    # the swap of 1 and 3 has the first least in key order, the second in
-    # the search's order, which reads (0, 3, 1, 1) against (0, 1, 3, 3)
+    # on P3 the search reads 1*3 first, then 1*1, 3*3 and the center's
+    # square 2*2; the orbit of keys (1, 0, 3, 0, 0, 1) and (3, 0, 1, 0, 0, 3)
+    # under the swap of 1 and 3 has the first least in key order, the second
+    # in the search's order, which reads (3, 1, 1, 0) against (1, 3, 3, 0)
     root = init_state(_P3)
     assert propagate(root) is None
     order = zdg.realize._static_order(root)
