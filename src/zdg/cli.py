@@ -156,10 +156,11 @@ def _cmd_props(args) -> int:
     core_vertices, core_edges = G.core(g)
     # uniquely complemented implies complemented
     unique = G.is_uniquely_complemented(g)
+    diameter = G.diameter(g)  # None iff disconnected or empty
     payload = {
         "n": g.n,
-        "connected": G.is_connected(g),
-        "diameter": G.diameter(g),
+        "connected": diameter is not None,
+        "diameter": diameter,
         "has_cycle": bool(core_edges),  # a cycle iff some edge is not a bridge
         "core_vertices": sorted(core_vertices),
         "core_edges": [list(e) for e in sorted(core_edges)],

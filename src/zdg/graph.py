@@ -16,9 +16,11 @@ Text format (read/write, bit exact on writer output)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
-from .errors import _MAX_COUNT, FormatError, _check_name, _LineReader
+from .errors import _MAX_COUNT, FormatError, TooLargeError, _check_name, _LineReader
+
+MAX_AUTOMORPHISMS = 10**6  # automorphisms refuses larger groups
 
 
 def bits(mask: int):
@@ -69,9 +71,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
-
-    def name_of(self, v: int) -> str:
-        return self.names[v] if self.names is not None else f"v{v}"
 
 
 def from_edge_list(n: int, edges, names=None) -> Graph:
@@ -138,21 +137,6 @@ def diameter(g: Graph) -> int | None:
     return far
 
 
-def component_count(g: Graph) -> int:
-    seen = 0
-    count = 0
-    for v in range(g.n):
-        if not (seen >> v) & 1:
-            count += 1
-            seen |= reachable(g.adj, v)
-    return count
-
-
-def has_cycle(g: Graph) -> bool:
-    # A graph is a forest iff m = n - (number of components).
-    return g.edge_count() > g.n - component_count(g)
-
-
 def core(g: Graph) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
     """Vertices and edges of the core: the edges lying on at least one cycle.
 
@@ -191,6 +175,12 @@ def core(g: Graph) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
     core_edges = [e for e in g.edges() if e not in bridges]
     verts = frozenset(v for e in core_edges for v in e)
     return verts, frozenset(core_edges)
+
+
+def has_cycle(g: Graph) -> bool:
+    """A graph has a cycle iff some edge is not a bridge: iff its core has an
+    edge."""
+    return bool(core(g)[1])
 
 
 def end_vertices(g: Graph) -> frozenset[int]:
@@ -302,8 +292,11 @@ def isomorphisms(g: Graph, h: Graph):
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """The full automorphism group as explicit vertex permutations, in
-    lexicographic order."""
-    return list(isomorphisms(g, g))
+    lexicographic order; TooLargeError past MAX_AUTOMORPHISMS of them."""
+    auts = list(islice(isomorphisms(g, g), MAX_AUTOMORPHISMS + 1))
+    if len(auts) > MAX_AUTOMORPHISMS:
+        raise TooLargeError(f"automorphism group has more than {MAX_AUTOMORPHISMS} elements")
+    return auts
 
 
 def is_isomorphic(g: Graph, h: Graph) -> tuple[int, ...] | None:

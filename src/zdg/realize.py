@@ -118,9 +118,6 @@ class SearchState:
         self.dirty.add(b)
         return None
 
-    def snapshot(self) -> MulTable:
-        return table_from_rows(self.table)
-
 
 def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
     """Set up the constraint system for g: fixed zeros, initial candidate
@@ -388,11 +385,12 @@ def apply_automorphism(t: MulTable, perm: tuple[int, ...]) -> MulTable:
     return table_from_rows(rows)
 
 
-def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Per automorphism p of g, the element map and, for each position of a
-    canonical key, the position of the original key it is read from: the
-    image of table t under p has key[k] = p[t[q[i]][q[j]]] at the k-th
-    upper-triangle cell (i, j), with q the inverse of p.
+def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
+    """Per automorphism of g, the triple (p, q, idx): the element map p, its
+    inverse q, and for each position of a canonical key the position of the
+    original key it is read from.  The image of table t under p reads
+    p[t[q[i]][q[j]]] at cell (i, j), so its key has p[key[idx[k]]] at the
+    k-th upper-triangle cell.
 
     AssertionError for a permutation that does not map g onto itself."""
     n = g.n
@@ -413,7 +411,7 @@ def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int]]]:
         idx = [pos[q[i]][q[j]] for i, j in cells]
         if [edge[k] for k in idx] != edge:
             raise AssertionError(f"{a} does not map the graph onto itself")
-        maps.append((p, idx))
+        maps.append((p, q, idx))
     return maps
 
 
@@ -430,7 +428,7 @@ def _orbits(keys, maps) -> tuple[list[set[tuple[int, ...]]], set[tuple[int, ...]
     orbits = []
     for key in keys:
         if key not in seen:
-            orbit = {tuple([p[key[k]] for k in idx]) for p, idx in maps}
+            orbit = {tuple([p[key[k]] for k in idx]) for p, _, idx in maps}
             seen |= orbit
             orbits.append(orbit)
     return orbits, seen
@@ -462,25 +460,21 @@ def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
     return len(orbits)
 
 
-def _rank(state: SearchState, cell: tuple[int, int]) -> tuple:
-    """Where an open cell stands in _pick_cell's branching order: fewest
+def _pick_cell(state: SearchState) -> tuple[int, int] | None:
+    """The open cell to branch on, or None when the table is complete: fewest
     candidates (fail first), then least deg(x) + deg(y) in G, then cell.  The
     first two keys do not depend on how G's vertices are numbered, so the
     cell index only breaks ties between cells alike on both."""
+    dom = state.domains
     deg = state.deg
-    return (state.domains[cell].bit_count(), deg[cell[0]] + deg[cell[1]], cell)
-
-
-def _pick_cell(state: SearchState) -> tuple[int, int] | None:
-    """The unknown cell of least _rank, or None when the table is complete."""
-    return min(state.domains, key=lambda cell: _rank(state, cell), default=None)
+    return min(dom, key=lambda c: (dom[c].bit_count(), deg[c[0]] + deg[c[1]], c), default=None)
 
 
 def _verify_solution(state: SearchState, g: Graph) -> MulTable:
     """Check a complete table independently of the propagation that built
     it: associative, its zero-divisor graph (zero_divisor_adj, so every
     nonzero element a zero divisor) is g, and idempotent in boolean mode."""
-    t = state.snapshot()
+    t = table_from_rows(state.table)
     bad = assoc_violation_symmetric(t.prod)
     if bad is not None:
         raise AssertionError(f"search produced a non-associative table at {bad}")
@@ -516,33 +510,31 @@ def _static_order(root: SearchState) -> list[int]:
     return sorted((k for k, cell in enumerate(cells) if cell in root.domains), key=rank)
 
 
-def _symmetries(maps, n: int, order: list[int]) -> list[tuple[tuple, tuple[int, ...], int]]:
-    """The lex-leader comparisons of the search: one entry (pairs, p, 0) per
-    non-identity automorphism p, where pairs lists each cell (i, j) of order
-    with the cell (q[i], q[j]) its image reads."""
+def _symmetries(maps, n: int, order: list[int]) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """The lex-leader comparisons of the search: the cells of order, shared
+    by every comparison, and one entry (p, q, 0) per non-identity
+    automorphism p with inverse q (see _image_maps), 0 being the position in
+    the cells where its comparison stands."""
     cells = _key_cells(n)
     identity = tuple(range(n + 1))
-    return [
-        (tuple(cells[k] + cells[idx[k]] for k in order), p, 0)
-        for p, idx in maps
-        if p != identity
-    ]
+    return [cells[k] for k in order], [(p, q, 0) for p, q, _ in maps if p != identity]
 
 
-def _least_so_far(T: list[list[int]], tied: list) -> list | None:
+def _least_so_far(T: list[list[int]], cells: list, tied: list) -> list | None:
     """Resume each comparison of the table with one of its images, from the
-    position in the static order where it stopped: the cell T[i][j] against
-    p[T[a][b]].  An image stays tied while either cell is unknown and is
-    dropped once it is larger; None once some image is smaller, as it stays
-    in every completion, so the table cannot be its orbit's least."""
+    position in cells, the static order, where it stopped: the cell T[i][j]
+    against the image's p[T[q[i]][q[j]]].  An image stays tied while either
+    cell is unknown and is dropped once it is larger; None once some image
+    is smaller, as it stays in every completion, so the table cannot be its
+    orbit's least."""
     still = []
-    for pairs, p, at in tied:
-        for k in range(at, len(pairs)):
-            i, j, a, b = pairs[k]
+    for p, q, at in tied:
+        for k in range(at, len(cells)):
+            i, j = cells[k]
             x = T[i][j]
-            y = T[a][b]
+            y = T[q[i]][q[j]]
             if x == UNKNOWN or y == UNKNOWN:
-                still.append((pairs, p, k))
+                still.append((p, q, k))
                 break
             y = p[y]
             if x != y:
@@ -553,25 +545,25 @@ def _least_so_far(T: list[list[int]], tied: list) -> list | None:
 
 
 def _dfs(
-    state: SearchState, g: Graph, out: list[MulTable], cap: int | None, tied: list
+    state: SearchState, g: Graph, out: list[MulTable], cap: int | None,
+    cells: list, tied: list,
 ) -> bool:
     """Collect solutions depth first; returns False once cap is reached.
 
-    tied holds the images still compared with the table (see _symmetries);
-    a node where one of them is already smaller is pruned, so with the
-    symmetries of G each solution is its orbit's least in the static order.
-    While one is tied, the node branches on the first open cell of that
-    order, none of which lies before where a tied comparison stopped; once
-    none is, on the cell _pick_cell chooses.
+    cells and tied are the static order and the images still compared with
+    the table in it (see _symmetries); a node where one of them is already
+    smaller is pruned, so with the symmetries of G each solution is its
+    orbit's least in the static order.  While one is tied, the node branches
+    on the first open cell of that order, none of which lies before where a
+    tied comparison stopped; once none is, on the cell _pick_cell chooses.
     """
     if tied:
-        tied = _least_so_far(state.table, tied)
+        tied = _least_so_far(state.table, cells, tied)
         if tied is None:
             return True
     if tied:
-        pairs, _, at = tied[0]
         T = state.table
-        cell = next((i, j) for i, j, _, _ in pairs[at:] if T[i][j] == UNKNOWN)
+        cell = next((i, j) for i, j in cells[tied[0][2]:] if T[i][j] == UNKNOWN)
     else:
         cell = _pick_cell(state)
     if cell is None:
@@ -582,7 +574,7 @@ def _dfs(
         if child.assign(cell[0], cell[1], v):
             continue
         if propagate(child) is None:
-            if not _dfs(child, g, out, cap, tied):
+            if not _dfs(child, g, out, cap, cells, tied):
                 return False
     return True
 
@@ -649,12 +641,12 @@ def realize_all(
     if propagate(root) is None:
         if root.domains:
             _drop_settled(root)
-        tied = []
+        cells, tied = [], []
         if limit is None and root.domains:
             maps = _image_maps(g)
             order = _static_order(root)
-            tied = _symmetries(maps, g.n, order)
-        _dfs(root, g, sols, None if limit is None else limit + 1, tied)
+            cells, tied = _symmetries(maps, g.n, order)
+        _dfs(root, g, sols, None if limit is None else limit + 1, cells, tied)
     truncated = limit is not None and len(sols) > limit
     keys = sorted(map(canonical_key, sols[:limit]))
     if maps is not None:

@@ -41,6 +41,15 @@ def oracle_connected(g: Graph) -> bool:
     return all(d[0][j] != float("inf") for j in range(g.n))
 
 
+def oracle_has_cycle(g: Graph) -> bool:
+    """A graph is a forest iff it has n - c edges, c its number of
+    components, counted as the distinct reachable sets."""
+    d = oracle_distances(g)
+    inf = float("inf")
+    components = {frozenset(u for u in range(g.n) if d[v][u] != inf) for v in range(g.n)}
+    return len(g.edges()) > g.n - len(components)
+
+
 def oracle_diameter(g: Graph):
     if not oracle_connected(g):
         return None

@@ -135,6 +135,30 @@ def test_props_json_schema(base_graph_file, capsys):
     assert payload["diameter"] == 2
 
 
+def test_props_of_the_empty_graph(tmp_path, capsys):
+    # n = 0: no diameter, so not connected, and every neighbourhood
+    # condition holds vacuously
+    path = tmp_path / "empty.zdg-graph"
+    path.write_text("zdg-graph 1\nn 0\n")
+    code, out, err = run(capsys, "props", str(path), "--json")
+    assert (code, err) == (0, "")
+    payload = loads(out)
+    jsonschema.validate(payload, _schema("props"))
+    assert payload == {
+        "n": 0,
+        "connected": False,
+        "diameter": None,
+        "has_cycle": False,
+        "core_vertices": [],
+        "core_edges": [],
+        "end_vertices": [],
+        "uniquely_determined": True,
+        "complemented": True,
+        "uniquely_complemented": True,
+        "meet_closed": True,
+    }
+
+
 def test_boolean_ring_check_only(tmp_path, capsys):
     path = tmp_path / "p4.zdg-graph"
     path.write_text(format_graph(families.two_star(1, 1)))

@@ -15,6 +15,7 @@ from conftest import (
     oracle_core,
     oracle_diameter,
     oracle_distances,
+    oracle_has_cycle,
     oracle_hoods,
     oracle_m_uniquely_determined,
     oracle_meet_closed,
@@ -272,9 +273,10 @@ def test_core_properties(g):
 
 
 def test_has_cycle_iff_core_has_an_edge():
-    # the sweep and zdg props read the cycle flag off the core's edges
+    # the sweep and zdg props read the cycle flag off the core's edges;
+    # the forest count (m > n - components) is the independent reference
     for g in labeled_graphs(5):
-        assert has_cycle(g) == bool(core(g)[1]), g.edges()
+        assert has_cycle(g) == bool(core(g)[1]) == oracle_has_cycle(g), g.edges()
 
 
 @given(graphs(max_n=8))

@@ -8,11 +8,12 @@ import pytest
 
 from conftest import boolean_rpartite_table
 
+import zdg.graph
 import zdg.realize
-from zdg import families
+from zdg import cli, families
 from zdg.boolean_algebra import check_boolean_graph_conditions
 from zdg.errors import TooLargeError
-from zdg.graph import connected_graphs, from_edge_list
+from zdg.graph import connected_graphs, format_graph, from_edge_list
 from zdg.realize import (
     BOOLEAN,
     PLAIN,
@@ -541,6 +542,20 @@ def test_size_guard_and_preconditions():
         realize_all(from_edge_list(3, [(0, 1)]))
     with pytest.raises(TooLargeError):
         brute_force_realize(from_edge_list(5, [(i, i + 1) for i in range(4)]))
+
+
+def test_automorphism_list_is_bounded(monkeypatch, tmp_path, capsys):
+    # K1,5 has 5! = 120 automorphisms; the orbit search lists them, a
+    # search keeping one table does not
+    monkeypatch.setattr(zdg.graph, "MAX_AUTOMORPHISMS", 100)
+    star = families.complete_bipartite(1, 5)
+    with pytest.raises(TooLargeError, match="more than 100"):
+        realize_all(star)
+    path = tmp_path / "star.zdg-graph"
+    path.write_text(format_graph(star))
+    assert cli.main(["realize", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert realize_all(star, limit=1).labeled_count == 1
 
 
 def test_oracle_equivalence_n3():

@@ -3,6 +3,7 @@ headline results."""
 
 from __future__ import annotations
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -42,3 +43,15 @@ def test_script_runs(name, lines, monkeypatch, capsys):
     out = capsys.readouterr().out
     for line in lines:
         assert line in out
+
+
+def test_output_digest_prints_one_line(monkeypatch, capsys):
+    path = str(SCRIPTS / "output_digest.py")
+    monkeypatch.setattr(sys, "argv", [path, "--seeds", "0"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    try:
+        runpy.run_path(path, run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (None, 0)
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"\d+ calls, sha256 [0-9a-f]{64}\n", out), out
