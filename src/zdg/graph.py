@@ -292,10 +292,20 @@ def isomorphisms(g: Graph, h: Graph):
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """The full automorphism group as explicit vertex permutations, in
-    lexicographic order; TooLargeError past MAX_AUTOMORPHISMS of them."""
+    lexicographic order; TooLargeError past MAX_AUTOMORPHISMS of them, before
+    listing any if permuting twins (equal open, or closed, neighbourhoods)
+    already gives more."""
+    too_large = f"automorphism group has more than {MAX_AUTOMORPHISMS} elements"
+    for masks in (g.adj, (mask | 1 << v for v, mask in enumerate(g.adj))):
+        size, order = {}, 1  # order: the product of |class|! so far
+        for mask in masks:
+            size[mask] = k = size.get(mask, 0) + 1
+            order *= k
+            if order > MAX_AUTOMORPHISMS:
+                raise TooLargeError(too_large)
     auts = list(islice(isomorphisms(g, g), MAX_AUTOMORPHISMS + 1))
     if len(auts) > MAX_AUTOMORPHISMS:
-        raise TooLargeError(f"automorphism group has more than {MAX_AUTOMORPHISMS} elements")
+        raise TooLargeError(too_large)
     return auts
 
 

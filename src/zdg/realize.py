@@ -63,8 +63,9 @@ def _check_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class Conflict:
-    """Why propagation failed: the cell whose value set emptied or whose
-    forced values disagree, plus the associativity triple that caused it."""
+    """Why propagation failed, built once where propagate finds it: the cell
+    whose value set emptied or whose forced values disagree, and the triple
+    that caused it (None for a cell init_state left without candidates)."""
 
     cell: tuple[int, int]
     triple: tuple[int, int, int] | None
@@ -107,16 +108,13 @@ class SearchState:
             set(self.dirty),
         )
 
-    def assign(self, i: int, j: int, v: int) -> Conflict | None:
-        a, b = (i, j) if i <= j else (j, i)
-        if not (self.domains[(a, b)] >> v) & 1:
-            return Conflict((a, b), None, f"value {v} not in candidate set")
-        del self.domains[(a, b)]
-        self.table[a][b] = v
-        self.table[b][a] = v
-        self.dirty.add(a)
-        self.dirty.add(b)
-        return None
+    def assign(self, i: int, j: int, v: int) -> None:
+        """Fill the open cell (i, j), i <= j, with v, one of its candidates."""
+        del self.domains[(i, j)]
+        self.table[i][j] = v
+        self.table[j][i] = v
+        self.dirty.add(i)
+        self.dirty.add(j)
 
 
 def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
@@ -196,18 +194,18 @@ def propagate(state: SearchState) -> Conflict | None:
     _drop_settled).
 
     Returns a Conflict if a candidate set empties or forced values clash;
-    the state is then dead.
+    the state is then dead.  Only the forcing rule can meet a value outside
+    the cell's candidates, so it checks its own; assign only records.
     """
     T = state.table
     dom = state.domains
     dirty = state.dirty
     live = state.live
 
-    def prune(cell: tuple[int, int], other: int, want: int) -> Conflict | None:
-        # keep candidates w of cell for which w*other can still equal want
-        m = dom.get(cell)
-        if m is None:
-            return None
+    def prune(cell: tuple[int, int], other: int, want: int) -> str | None:
+        # keep candidates w of the open cell for which w*other can still
+        # equal want; the reason if none is left
+        m = dom[cell]
         keep = 0
         mm = m
         while mm:
@@ -224,7 +222,7 @@ def propagate(state: SearchState) -> Conflict | None:
         if keep == m:
             return None
         if keep == 0:
-            return Conflict(cell, None, f"no candidate multiplies with {other} to {want}")
+            return f"no candidate multiplies with {other} to {want}"
         dom[cell] = keep
         dirty.update(cell)
         return None
@@ -236,9 +234,7 @@ def propagate(state: SearchState) -> Conflict | None:
             if m == 0:
                 return Conflict(cell, None, "empty candidate set")
             if m & (m - 1) == 0:
-                conflict = state.assign(cell[0], cell[1], m.bit_length() - 1)
-                if conflict:
-                    return conflict
+                state.assign(cell[0], cell[1], m.bit_length() - 1)
         # associativity sweep over the live triples (a, b, c), a <= c (the
         # rest follow by commutativity), with a or c dirty
         marked = set(dirty)
@@ -256,31 +252,31 @@ def propagate(state: SearchState) -> Conflict | None:
                     if ab == UNKNOWN:
                         if bc == UNKNOWN or Ta[bc] == UNKNOWN:
                             continue
-                        key = (a, b) if a <= b else (b, a)
-                        conflict = prune(key, c, Ta[bc])
+                        cell = (a, b) if a <= b else (b, a)
+                        reason = prune(cell, c, Ta[bc])
                     elif bc == UNKNOWN:
                         left = T[ab][c]
                         if left == UNKNOWN:
                             continue
-                        key = (b, c) if b <= c else (c, b)
-                        conflict = prune(key, a, left)
+                        cell = (b, c) if b <= c else (c, b)
+                        reason = prune(cell, a, left)
                     else:
                         left = T[ab][c]
                         right = Ta[bc]
                         if left == right:
                             continue
-                        if left == UNKNOWN:
-                            conflict = state.assign(ab, c, right)
-                        elif right == UNKNOWN:
-                            conflict = state.assign(a, bc, left)
+                        # force the unknown side to v, or report a clash at (a, bc)
+                        i, j, v = (ab, c, right) if left == UNKNOWN else (a, bc, left)
+                        cell = (i, j) if i <= j else (j, i)
+                        if left != UNKNOWN and right != UNKNOWN:
+                            reason = f"({a}*{b})*{c}={left} but {a}*({b}*{c})={right}"
+                        elif (dom[cell] >> v) & 1:
+                            state.assign(cell[0], cell[1], v)
+                            continue
                         else:
-                            return Conflict(
-                                (min(a, bc), max(a, bc)),
-                                (a, b, c),
-                                f"({a}*{b})*{c}={left} but {a}*({b}*{c})={right}",
-                            )
-                    if conflict:
-                        return Conflict(conflict.cell, (a, b, c), conflict.reason)
+                            reason = f"value {v} not in candidate set"
+                    if reason:
+                        return Conflict(cell, (a, b, c), reason)
     return None
 
 
@@ -510,16 +506,6 @@ def _static_order(root: SearchState) -> list[int]:
     return sorted((k for k, cell in enumerate(cells) if cell in root.domains), key=rank)
 
 
-def _symmetries(maps, n: int, order: list[int]) -> tuple[list[tuple[int, int]], list[tuple]]:
-    """The lex-leader comparisons of the search: the cells of order, shared
-    by every comparison, and one entry (p, q, 0) per non-identity
-    automorphism p with inverse q (see _image_maps), 0 being the position in
-    the cells where its comparison stands."""
-    cells = _key_cells(n)
-    identity = tuple(range(n + 1))
-    return [cells[k] for k in order], [(p, q, 0) for p, q, _ in maps if p != identity]
-
-
 def _least_so_far(T: list[list[int]], cells: list, tied: list) -> list | None:
     """Resume each comparison of the table with one of its images, from the
     position in cells, the static order, where it stopped: the cell T[i][j]
@@ -550,12 +536,14 @@ def _dfs(
 ) -> bool:
     """Collect solutions depth first; returns False once cap is reached.
 
-    cells and tied are the static order and the images still compared with
-    the table in it (see _symmetries); a node where one of them is already
-    smaller is pruned, so with the symmetries of G each solution is its
-    orbit's least in the static order.  While one is tied, the node branches
-    on the first open cell of that order, none of which lies before where a
-    tied comparison stopped; once none is, on the cell _pick_cell chooses.
+    cells is the static order and tied the images still compared with the
+    table in it, one (p, q, k) per non-identity automorphism p with inverse
+    q (see _image_maps), k the position in cells where its comparison
+    stands.  A node where one of them is already smaller is pruned, so each
+    solution is its orbit's least in the static order.  While one is tied,
+    the node branches on the first open cell of that order, none of which
+    lies before where a tied comparison stopped; once none is, on the cell
+    _pick_cell chooses.
     """
     if tied:
         tied = _least_so_far(state.table, cells, tied)
@@ -571,11 +559,9 @@ def _dfs(
         return cap is None or len(out) < cap
     for v in bits(state.domains[cell]):
         child = state.copy()
-        if child.assign(cell[0], cell[1], v):
-            continue
-        if propagate(child) is None:
-            if not _dfs(child, g, out, cap, cells, tied):
-                return False
+        child.assign(cell[0], cell[1], v)
+        if propagate(child) is None and not _dfs(child, g, out, cap, cells, tied):
+            return False
     return True
 
 
@@ -645,7 +631,10 @@ def realize_all(
         if limit is None and root.domains:
             maps = _image_maps(g)
             order = _static_order(root)
-            cells, tied = _symmetries(maps, g.n, order)
+            every = _key_cells(g.n)
+            cells = [every[k] for k in order]
+            identity = tuple(range(g.n + 1))
+            tied = [(p, q, 0) for p, q, _ in maps if p != identity]
         _dfs(root, g, sols, None if limit is None else limit + 1, cells, tied)
     truncated = limit is not None and len(sols) > limit
     keys = sorted(map(canonical_key, sols[:limit]))

@@ -34,6 +34,11 @@ def test_conditions_on_f2k_graphs():
         assert report.all_hold, report.witnesses
 
 
+def test_conditions_refuse_a_disconnected_graph():
+    with pytest.raises(ValueError, match="connected"):
+        check_boolean_graph_conditions(from_edge_list(3, [(0, 1)]))
+
+
 def test_conditions_k3_fails_complementation():
     report = check_boolean_graph_conditions(families.complete(3))
     assert report.uniquely_determined
@@ -154,6 +159,12 @@ def test_build_algebra_rejects_wrong_table():
     wrong = table_from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])  # not boolean
     with pytest.raises(ValueError, match="idempotent"):
         build_algebra(g, wrong)
+    with pytest.raises(ValueError, match="size must match"):
+        build_algebra(g, table_from_rows([[0, 0], [0, 1]]))
+    # orthogonal idempotents realize K3, not the path
+    k3 = table_from_rows([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
+    with pytest.raises(ValueError, match="does not realize"):
+        build_algebra(from_edge_list(3, [(0, 1), (1, 2)]), k3)
 
 
 def test_build_algebra_lattice_error_on_bad_instance():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -336,6 +337,24 @@ def test_theorems_rejects_invalid_table(tmp_path, capsys):
     bad.write_text("zdg-table 1\nn 2\n1 2\n1\n")
     code, _, err = run(capsys, "theorems", str(bad))
     assert code == 2 and "zero divisor" in err
+
+
+def test_theorems_writes_a_counterexample_line(tmp_path, capsys, monkeypatch):
+    # no semigroup refutes a theorem, so the verifiers are replaced by one
+    # that reports a refutation
+    path = tmp_path / "zero.zdg-table"
+    path.write_text("zdg-table 1\nn 0\n")
+    refuted = theorems.TheoremVerdict("thm_2_1", "thm_2_1(x=1)", True, False, "1*1=1")
+    monkeypatch.setattr(cli.TH, "all_verdicts", lambda t: [refuted])
+    code, out, err = run(capsys, "theorems", str(path))
+    assert (code, err) == (1, "")
+    assert out == "[COUNTEREXAMPLE] thm_2_1(x=1) (1*1=1)\ncounterexamples: 1\n"
+
+
+def test_graph_read_from_stdin(base_graph_file, capsys, monkeypatch):
+    code, want, _ = run(capsys, "realize", base_graph_file, "--json")
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(base_graph_file).read_text()))
+    assert run(capsys, "realize", "-", "--json") == (code, want, "")
 
 
 def test_theorems_on_the_zero_semigroup(tmp_path, capsys):

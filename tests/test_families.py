@@ -31,6 +31,8 @@ def test_family_param_validation():
         families.complete(0)
     with pytest.raises(ValueError):
         families.complete_multipartite([])
+    with pytest.raises(ValueError, match="parts >= 1"):
+        families.complete_bipartite(0, 3)
     with pytest.raises(ValueError):
         families.m_nk(3, 1)
     with pytest.raises(ValueError):

@@ -22,7 +22,9 @@ from conftest import (
     oracle_uniquely_complemented,
     oracle_uniquely_determined,
 )
+import zdg.graph
 from zdg import cli, families
+from zdg.errors import TooLargeError
 from zdg.graph import (
     Graph,
     automorphisms,
@@ -78,6 +80,17 @@ def test_from_edge_list_duplicates_collapse():
     assert g.degree(2) == 0
 
 
+@pytest.mark.parametrize("adj, names, match", [
+    ((2,), None, "adjacency length"),
+    ((4, 0), None, "vertex 0: neighbor out of range"),
+    ((1, 0), None, "vertex 0: self-loop"),
+    ((2, 1), ("a",), "names length"),
+])
+def test_graph_refuses_a_malformed_adjacency(adj, names, match):
+    with pytest.raises(ValueError, match=match):
+        Graph(2, adj, names)
+
+
 def test_from_edge_list_rejects_bad_edges():
     with pytest.raises(ValueError, match="out of range"):
         from_edge_list(2, [(0, 2)])
@@ -126,6 +139,8 @@ def test_pendant_sets():
     assert all(not pendant_set(k3, v) for v in range(3))
     star = from_edge_list(5, [(0, i) for i in range(1, 5)])
     assert pendant_set(star, 0) == frozenset({1, 2, 3, 4})
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
+        pendant_set(star, 5)
 
 
 def test_internal_vertices():
@@ -144,6 +159,9 @@ def test_uniquely_determined():
     assert is_uniquely_determined(families.complete(3))
     f23 = _gamma_f2_3()
     assert is_uniquely_determined(f23)
+    for m in (0, 4):
+        with pytest.raises(ValueError, match=f"m={m} out of range 1..3"):
+            is_m_uniquely_determined(families.complete(3), m)
 
 
 def _gamma_f2_3() -> Graph:
@@ -178,6 +196,21 @@ def test_automorphism_counts():
     # the base graph has exactly the identity and the square-triangle swap
     assert sorted(automorphisms(BASE)) == [(0, 1, 2, 3, 4), (1, 0, 2, 4, 3)]
     assert oracle_automorphisms(BASE) == set(automorphisms(BASE))
+
+
+def test_twins_refuse_a_large_group_before_listing_it(monkeypatch):
+    # K1,5 has 5 leaves with one open neighbourhood, K5 5 vertices with one
+    # closed neighbourhood: 5! = 120 automorphisms either way, refused
+    # before a permutation is listed
+    monkeypatch.setattr(zdg.graph, "MAX_AUTOMORPHISMS", 100)
+    with monkeypatch.context() as m:
+        m.setattr(zdg.graph, "isomorphisms", lambda g, h: pytest.fail("listed"))
+        for g in (families.complete_bipartite(1, 5), families.complete(5)):
+            with pytest.raises(TooLargeError, match="more than 100"):
+                automorphisms(g)
+    # P4 has no twins, and its 2 automorphisms are listed
+    assert automorphisms(from_edge_list(4, [(0, 1), (1, 2), (2, 3)])) == [
+        (0, 1, 2, 3), (3, 2, 1, 0)]
 
 
 def test_isomorphism_witness():

@@ -176,6 +176,39 @@ def test_settled_equations_miss_nothing(monkeypatch, name):
     assert calls[0] > 1
 
 
+@pytest.mark.parametrize("mode", [PLAIN, BOOLEAN])
+def test_every_conflict_names_where_it_came_from(monkeypatch, connected_classes_upto_5, mode):
+    # a conflict without a triple is a cell init_state left without
+    # candidates, found by the root call; every other conflict names the
+    # triple (a, b, c) whose rule failed and a cell that rule reads
+    real = zdg.realize.propagate
+    calls = [0]
+    seen = {"root": 0, "triple": 0}
+
+    def checked(state):
+        calls[0] += 1
+        conflict = real(state)
+        if conflict is None:
+            return None
+        if conflict.triple is None:
+            assert conflict.reason == "empty candidate set"
+            assert calls[0] == 1
+            seen["root"] += 1
+        else:
+            a, b, c = conflict.triple
+            T = state.table
+            read = {(a, b), (b, c), (T[a][b], c), (a, T[b][c])}
+            assert conflict.cell in read | {(j, i) for i, j in read}, conflict
+            seen["triple"] += 1
+        return conflict
+
+    monkeypatch.setattr(zdg.realize, "propagate", checked)
+    for g in connected_classes_upto_5:
+        calls[0] = 0
+        realize_all(g, mode)
+    assert seen["root"] and seen["triple"]
+
+
 # labeled count, orbit count and sha256 of the sorted canonical keys, computed
 # with a propagation that checked every triple on every round; beyond the
 # oracle's n <= 4, these catch a search that loses or gains tables, a whole
@@ -542,6 +575,17 @@ def test_size_guard_and_preconditions():
         realize_all(from_edge_list(3, [(0, 1)]))
     with pytest.raises(TooLargeError):
         brute_force_realize(from_edge_list(5, [(i, i + 1) for i in range(4)]))
+    empty = from_edge_list(0, [])
+    with pytest.raises(ValueError, match="mode must be"):
+        realize_all(_P3, "ring")
+    with pytest.raises(ValueError, match="at least one vertex"):
+        realize_all(empty)
+    with pytest.raises(ValueError, match="limit must be positive"):
+        realize_all(_P3, limit=0)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        brute_force_realize(empty)
+    with pytest.raises(ValueError, match="connected"):
+        brute_force_realize(from_edge_list(3, [(0, 1)]))
 
 
 def test_automorphism_list_is_bounded(monkeypatch, tmp_path, capsys):

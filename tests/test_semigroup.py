@@ -9,6 +9,7 @@ from conftest import boolean_rpartite_table, table_facts
 from zdg import families
 from zdg.graph import diameter, is_connected, is_uniquely_determined
 from zdg.semigroup import (
+    MulTable,
     assoc_violation_symmetric,
     check_axioms,
     closure_witness,
@@ -81,6 +82,16 @@ def test_zero_divisor_adj_is_the_zero_product_relation(t):
     adj = zero_divisor_adj(t)
     got = {(x, y) for x in nonzero for y in nonzero if adj[x - 1] >> (y - 1) & 1}
     assert got == want
+
+
+@pytest.mark.parametrize("prod, match", [
+    (((0, 0),), r"n\+1 rows"),
+    (((0, 0), (0,)), r"n\+1 entries"),
+    (((0, 0), (0, 2)), r"entry 2 out of range 0\.\.1"),
+])
+def test_table_refuses_a_malformed_shape(prod, match):
+    with pytest.raises(ValueError, match=match):
+        MulTable(1, prod)
 
 
 def test_zero_divisor_graph_rejects_non_commutative_table():
