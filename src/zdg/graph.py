@@ -87,35 +87,24 @@ def from_edge_list(n: int, edges, names=None) -> Graph:
     return Graph(n, tuple(adj), tuple(names) if names is not None else None)
 
 
-def reachable(adj, src: int) -> int:
-    """The vertices reachable from src, src included, as a bitmask; adj is
-    one neighbour mask per vertex."""
+def frontiers(adj, src: int):
+    """Yield the distance layers of a breadth-first walk from src as
+    bitmasks: src, then its neighbours, then the vertices two steps away,
+    and so on; adj is one neighbour mask per vertex."""
     seen = frontier = 1 << src
     while frontier:
+        yield frontier
         nxt = 0
         for u in bits(frontier):
             nxt |= adj[u]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen
 
 
-def bfs_distances(g: Graph, src: int) -> list[int]:
-    """Distances from src; -1 for unreachable vertices."""
-    dist = [-1] * g.n
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in bits(g.adj[u]):
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def reachable(adj, src: int) -> int:
+    """The vertices reachable from src, src included, as a bitmask: the
+    union of its distance layers, which are disjoint, so their sum."""
+    return sum(frontiers(adj, src))
 
 
 def is_connected(g: Graph) -> bool:
@@ -128,12 +117,12 @@ def diameter(g: Graph) -> int | None:
         return None
     # twins are equally far from every other vertex, and 2 apart; the first
     # walk, from vertex 0, also settles connectivity
-    far = 0
+    full, far = (1 << g.n) - 1, 0
     for vs in hood_classes(g).values():
-        dist = bfs_distances(g, vs[0])
-        if -1 in dist:
+        layers = list(frontiers(g.adj, vs[0]))
+        if sum(layers) != full:
             return None
-        far = max(far, max(dist))
+        far = max(far, len(layers) - 1)
     return far
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -260,6 +261,33 @@ def test_ring_isomorphic_finds_a_relabeled_ring(k):
         for b in range(ring.size):
             assert iso[ring.add[a][b]] == target.add[iso[a]][iso[b]]
             assert iso[ring.mul[a][b]] == target.mul[iso[a]][iso[b]]
+
+
+# each edit of F_2^2 (0, two atoms 1 and 2, one = 3) breaks the named law;
+# the laws are tied, so most edits break distributivity too
+@pytest.mark.parametrize(
+    "table, cells, message",
+    [
+        ("add", {(0, 3): 0, (3, 0): 0}, "0 is not an additive identity at 3"),
+        ("add", {(3, 3): 1}, "3+3 != 0"),
+        ("mul", {(1, 3): 0, (3, 1): 0}, "1 is not a multiplicative identity at 1"),
+        ("mul", {(1, 1): 0}, "1 is not idempotent"),
+        ("mul", {(0, 1): 1, (1, 0): 1}, "1*0 != 0"),
+        ("add", {(1, 2): 1}, "addition not commutative at (1,2)"),
+        ("mul", {(1, 2): 1}, "multiplication not commutative at (1,2)"),
+        ("add", {(1, 2): 1, (2, 1): 1}, "addition not associative at (1,1,2)"),
+        ("mul", {(1, 2): 3, (2, 1): 3}, "multiplication not associative at (1,1,2)"),
+        ("mul", {(1, 2): 1, (2, 1): 1}, "distributivity fails at (1,1,2)"),
+    ],
+)
+def test_verify_ring_axioms_reports_each_broken_law(table, cells, message):
+    r = families.f2k_ring(2)
+    assert verify_ring_axioms(r) == []
+    rows = [list(row) for row in getattr(r, table)]
+    for (a, b), v in cells.items():
+        rows[a][b] = v
+    edited = dataclasses.replace(r, **{table: tuple(map(tuple, rows))})
+    assert message in verify_ring_axioms(edited)
 
 
 def test_ring_isomorphic_refuses_an_edited_addition():

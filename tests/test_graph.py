@@ -34,6 +34,7 @@ from zdg.graph import (
     end_vertices,
     format_graph,
     from_edge_list,
+    frontiers,
     has_cycle,
     is_complemented,
     is_connected,
@@ -213,6 +214,18 @@ def test_twins_refuse_a_large_group_before_listing_it(monkeypatch):
         (0, 1, 2, 3), (3, 2, 1, 0)]
 
 
+def test_automorphisms_refuse_a_large_group_after_listing_it(monkeypatch):
+    # C6 has no twins, open or closed, so only the listed count can refuse
+    # its 12 automorphisms
+    c6 = from_edge_list(6, [(v, (v + 1) % 6) for v in range(6)])
+    monkeypatch.setattr(zdg.graph, "MAX_AUTOMORPHISMS", 10)
+    with pytest.raises(TooLargeError, match="more than 10"):
+        automorphisms(c6)
+    monkeypatch.setattr(zdg.graph, "MAX_AUTOMORPHISMS", 12)
+    auts = automorphisms(c6)
+    assert len(auts) == 12 and auts == sorted(oracle_automorphisms(c6))
+
+
 def test_isomorphism_witness():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     h = from_edge_list(4, [(3, 2), (2, 1), (1, 0)])
@@ -288,6 +301,10 @@ def test_reachable_matches_oracle_distances(g):
     for v in range(g.n):
         want = sum(1 << u for u in range(g.n) if d[v][u] != float("inf"))
         assert reachable(g.adj, v) == want
+        layers = list(frontiers(g.adj, v))
+        assert len(layers) == max(x for x in d[v] if x != float("inf")) + 1
+        for k, layer in enumerate(layers):
+            assert layer == sum(1 << u for u in range(g.n) if d[v][u] == k)
 
 
 @given(graphs())

@@ -485,6 +485,12 @@ def test_orbit_count_exact_on_truncated_sets(limit):
     # the subset is not closed under Aut(G), so it fails the complete check
     with pytest.raises(AssertionError):
         iso_class_count([canonical_key(t) for t in rep.tables], g, complete=True)
+    # a repeated key is closed under Aut(G) but emitted twice: the orbit
+    # sizes fall one short of the keys
+    k2 = families.complete(2)
+    keys = list(realize_all(k2).keys)
+    with pytest.raises(AssertionError, match=f"but {len(keys) + 1} tables were emitted"):
+        iso_class_count(keys + keys[:1], k2, complete=True)
 
 
 def test_orbit_count_follows_the_search_cap():

@@ -55,3 +55,19 @@ def test_output_digest_prints_one_line(monkeypatch, capsys):
         assert exc.code in (None, 0)
     out = capsys.readouterr().out
     assert re.fullmatch(r"\d+ calls, sha256 [0-9a-f]{64}\n", out), out
+
+
+def test_output_digest_is_pinned(monkeypatch, capsys):
+    # the CLI's answers to the benchmark corpus, seeds 0-2; a change that
+    # alters the output on purpose re-pins this line
+    path = str(SCRIPTS / "output_digest.py")
+    monkeypatch.setattr(sys, "argv", [path, "--seeds", "0", "1", "2"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    try:
+        runpy.run_path(path, run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (None, 0)
+    assert capsys.readouterr().out == (
+        "648 calls, sha256 "
+        "fbc1147627a60c1f3a541d910318a37d1fb79428f3aebbeae9a3873bf00908cc\n"
+    )
