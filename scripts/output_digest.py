@@ -8,10 +8,13 @@ Imports zdg from ROOT/src (default: this checkout) and builds the requests
 of both workloads from this checkout's perfbench/corpus.py, so that two
 checkouts are compared on the same inputs.  Each request runs through
 zdg.cli.main in JSON and in text mode, and each realize request also with
---limit 1 and --limit 3.  Every call adds its exit code, stdout and stderr
-to the hash, in the order workloads, seeds, requests, variants.  Prints one
-line, "<calls> calls, sha256 <hex>".  Run each checkout in a fresh
-interpreter: the first zdg imported is the one used.
+--limit 1 and --limit 3.  Each boolean-ring request also runs with
+--check-only, in JSON and in text, and its graph through realize --boolean
+--json with the request's --max-n.  Every graph input also runs through
+props --json.  Every call adds its exit code, stdout and stderr to the
+hash, in the order workloads, seeds, requests, variants.  Prints one line,
+"<calls> calls, sha256 <hex>".  Run each checkout in a fresh interpreter:
+the first zdg imported is the one used.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ def variants(req) -> list[list[str]]:
     out = [args, [a for a in args if a != "--json"]]
     if req.kind == "realize":
         out += [args + ["--limit", str(k)] for k in (1, 3)]
+    if req.kind == "ring":
+        check = args + ["--check-only"]
+        out += [check, [a for a in check if a != "--json"]]
+        cap = args[args.index("--max-n"):][:2] if "--max-n" in args else []
+        out.append(["realize", "{input}", "--boolean", "--json", *cap])
+    if req.kind != "table":
+        out.append(["props", "{input}", "--json"])
     return out
 
 

@@ -4,9 +4,12 @@ and reconstruction of the ring.
 The pipeline: a connected graph qualifies iff (1) distinct vertices have
 distinct neighborhoods, (2) it is uniquely complemented, (3) nonempty
 neighborhood intersections are themselves neighborhoods, and (4) an
-idempotent semigroup realizes it.  The realization found for (4), extended
-by an identity, is certified by its atoms: coding each element by the atoms
-it absorbs must be a bijection onto F_2^k that takes the product to AND.
+idempotent semigroup realizes it.  Condition (4) is realize_all in boolean
+mode: on a graph that meets (1) it builds the one candidate, each product
+the vertex with the least neighborhood above its factors', and checks it,
+with no search.  The realization found for (4), extended by an identity,
+is certified by its atoms: coding each element by the atoms it absorbs
+must be a bijection onto F_2^k that takes the product to AND.
 Ring addition is XOR carried back along that code, so the ring is F_2^k up
 to relabeling and every axiom holds without an O(N^3) check;
 verify_ring_axioms stays as the exhaustive oracle.  The final check is that
@@ -66,8 +69,11 @@ class BooleanGraphReport:
 
 
 def check_boolean_graph_conditions(g: Graph, max_n: int = DEFAULT_MAX_N) -> BooleanGraphReport:
-    """Evaluate all four conditions; condition (4) delegates to the search
-    engine capped at one table, kept as ``realization``."""
+    """Evaluate all four conditions; condition (4) is realize_all in
+    boolean mode, capped at one table, kept as ``realization``.  On a
+    uniquely determined graph that builds and checks the join table, the
+    only candidate (realize._join_table); otherwise it searches, refusing
+    more than max_n vertices."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
     witnesses = []
@@ -260,8 +266,7 @@ def ring_from_graph(g: Graph, max_n: int = DEFAULT_MAX_N) -> BooleanRing:
     realization only when its product is the meet of a boolean algebra;
     then N(x) contains N(y) exactly when xy = x, so N(xy) is the least
     neighborhood containing N(x) and N(y).  That fixes every product from g
-    alone, so the ring does not depend on which realization the search
-    found.
+    alone, so the ring is the one built from the join table.
     """
     conditions = check_boolean_graph_conditions(g, max_n=max_n)
     if not conditions.all_hold:

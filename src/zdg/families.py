@@ -126,8 +126,8 @@ def f2k_ring(k: int) -> BooleanRing:
     """The bit-vector boolean ring with 2^k elements: XOR addition, AND
     multiplication.  Element ids are the masks themselves, so 0 is the zero,
     the full mask is the one, and masks 1..2^k-2 are the graph vertices."""
-    if not 2 <= k <= 4:
-        raise ValueError("f2k_ring supports k = 2..4")
+    if not 2 <= k <= 7:
+        raise ValueError("f2k_ring supports k = 2..7")
     size = 1 << k
     add = tuple(tuple(a ^ b for b in range(size)) for a in range(size))
     mul = tuple(tuple(a & b for b in range(size)) for a in range(size))

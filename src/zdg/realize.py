@@ -17,6 +17,10 @@ zdg.semigroup (associativity, the zero-divisor graph, idempotence), not
 against the search's own constraints.  A naive brute-force enumerator over
 all symmetric tables (n <= 4) serves as an independent oracle.
 
+Boolean mode on a uniquely determined graph, one with no two vertices
+sharing a neighborhood, does not search: g alone fixes the only candidate
+table, the join table (see _join_table), and the leaf check decides it.
+
 Aut(G) maps realizations of G onto realizations of G, so a complete
 enumeration searches one table per orbit: the least among its images when
 cells are read in a static order, the root's open cells with the
@@ -38,7 +42,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .errors import TooLargeError
-from .graph import Graph, automorphisms, bits, is_connected
+from .graph import Graph, automorphisms, bits, is_connected, is_uniquely_determined
 from .semigroup import (
     MulTable,
     assoc_violation_symmetric,
@@ -466,23 +470,88 @@ def _pick_cell(state: SearchState) -> tuple[int, int] | None:
     return min(dom, key=lambda c: (dom[c].bit_count(), deg[c[0]] + deg[c[1]], c), default=None)
 
 
-def _verify_solution(state: SearchState, g: Graph) -> MulTable:
-    """Check a complete table independently of the propagation that built
-    it: associative, its zero-divisor graph (zero_divisor_adj, so every
-    nonzero element a zero divisor) is g, and idempotent in boolean mode."""
-    t = table_from_rows(state.table)
+def _table_violation(t: MulTable, g: Graph, mode: str) -> str | None:
+    """How the complete table t fails to realize g in mode, or None; checked
+    against the definitions, not the search's constraints: associative, its
+    zero-divisor graph (zero_divisor_adj, so every nonzero element a zero
+    divisor) is g, and idempotent in boolean mode."""
     bad = assoc_violation_symmetric(t.prod)
     if bad is not None:
-        raise AssertionError(f"search produced a non-associative table at {bad}")
+        return f"a non-associative table at {bad}"
     try:
         adj = zero_divisor_adj(t)
     except ValueError as exc:
-        raise AssertionError(f"search produced a table where {exc}") from None
+        return f"a table where {exc}"
     if adj != g.adj:
-        raise AssertionError("search produced a table with the wrong graph")
-    if state.mode == BOOLEAN and not is_boolean(t):
-        raise AssertionError("search produced a non-boolean table in boolean mode")
+        return "a table with the wrong graph"
+    if mode == BOOLEAN and not is_boolean(t):
+        return "a non-boolean table in boolean mode"
+    return None
+
+
+def _verify_solution(state: SearchState, g: Graph) -> MulTable:
+    """The search's complete table, checked by _table_violation
+    independently of the propagation that built it; AssertionError if it
+    fails."""
+    t = table_from_rows(state.table)
+    bad = _table_violation(t, g, state.mode)
+    if bad is not None:
+        raise AssertionError(f"search produced {bad}")
     return t
+
+
+def _join_table(g: Graph) -> MulTable | None:
+    """The boolean realization of the uniquely determined graph g, or None
+    if it has none.
+
+    The join table has xx = x, xy = 0 on an edge, and otherwise xy = the
+    vertex whose neighborhood is the least one containing N(x) | N(y).
+    Where there is no such vertex, or the table fails _table_violation, g
+    has no boolean realization.  Why: an idempotent commutative table S
+    realizing g is a semilattice, z <= w meaning zw = z.  Since xy <= x, y,
+    every z with xz = 0 or yz = 0 has (xy)z = 0, so N(x) | N(y) lies in
+    N(xy).  For any vertex z with N(x) | N(y) in N(z), Cor 3.3 (N(a) in
+    N(b) forces ab = b) gives xz = yz = z.  Then (xy)z = z, so z <= xy, and
+    every w with (xy)w = 0 has zw = z(xy)w = 0: N(xy) lies in N(z).  So
+    N(xy) is the least neighborhood containing N(x) | N(y), and in a
+    uniquely determined graph a single vertex has it.  S is therefore the
+    join table, and a join table that fails the check rules out every
+    boolean realization.
+
+    The vertices whose neighborhood contains N(x), up(x), are the common
+    neighbors of N(x); the candidates for xy are up(x) & up(y).  In a
+    uniquely determined graph a smaller neighborhood has a smaller degree,
+    so the least candidate, if there is one, is the one of least degree,
+    and each pair takes a candidate of least degree.  Where there is no
+    least, that table is no boolean realization, by the argument above,
+    and the check rejects it.
+    """
+    n = g.n
+    order = sorted(range(1, n + 1), key=lambda x: g.degree(x - 1))
+    rank = [0] * (n + 1)
+    for r, x in enumerate(order):
+        rank[x] = r
+    # neighborhoods and up sets as masks over ranks, least degree lowest
+    hood = [0] + [sum(1 << rank[v + 1] for v in bits(m)) for m in g.adj]
+    up = [0] * (n + 1)
+    for x in range(1, n + 1):
+        m = (1 << n) - 1
+        for v in bits(g.adj[x - 1]):
+            m &= hood[v + 1]
+        up[x] = m
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for x in range(1, n + 1):
+        rows[x][x] = x
+        edge = g.adj[x - 1] << 1
+        for y in range(x + 1, n + 1):
+            if (edge >> y) & 1:
+                continue
+            cand = up[x] & up[y]
+            if not cand:
+                return None
+            rows[x][y] = rows[y][x] = order[(cand & -cand).bit_length() - 1]
+    t = table_from_rows(rows)
+    return None if _table_violation(t, g, BOOLEAN) else t
 
 
 def _static_order(root: SearchState) -> list[int]:
@@ -610,6 +679,11 @@ def realize_all(
     limit found in enumeration order, which is deterministic.  The report is
     flagged truncated exactly when some realizing table is left out, so the
     search looks for one table more than limit.
+
+    Boolean mode on a uniquely determined graph builds its one candidate,
+    the join table, and checks it (_join_table), with no search: the report
+    holds that table or none, with its orbit count and never truncated,
+    whatever the limit.
     """
     mode = _check_mode(mode)
     if g.n < 1:
@@ -620,6 +694,10 @@ def realize_all(
         raise ValueError("graph must be connected")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
+    if mode == BOOLEAN and is_uniquely_determined(g):
+        t = _join_table(g)
+        keys = () if t is None else (canonical_key(t),)
+        return RealizationReport(mode, g.n, keys, len(keys), False)
 
     root = init_state(g, mode)
     sols: list[MulTable] = []

@@ -214,11 +214,11 @@ def test_ring_round_trip_f2_3():
     assert ring_isomorphic(ring, families.f2k_ring(3)) is not None
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
 def test_ring_from_graph_rebuilds_bit_vector_ring(k):
     # vertex v of gamma_f2(k) is the mask v+1, so the rebuilt ring is the
-    # bit-vector ring label for label
-    ring = ring_from_graph(gamma_f2(k), max_n=14)
+    # bit-vector ring label for label; gamma_f2(7) has 126 vertices
+    ring = ring_from_graph(gamma_f2(k), max_n=126)
     target = families.f2k_ring(k)
     assert ring.add == target.add and ring.mul == target.mul
 

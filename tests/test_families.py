@@ -136,5 +136,6 @@ def test_f2k_rings():
     r3 = families.f2k_ring(3)
     g3 = ring_zero_divisor_graph(r3)
     assert g3.n == 6 and g3.edge_count() == 6
-    with pytest.raises(ValueError):
-        families.f2k_ring(5)
+    for k in (1, 8):
+        with pytest.raises(ValueError):
+            families.f2k_ring(k)

@@ -13,7 +13,7 @@ import zdg.realize
 from zdg import cli, families
 from zdg.boolean_algebra import check_boolean_graph_conditions
 from zdg.errors import TooLargeError
-from zdg.graph import connected_graphs, format_graph, from_edge_list
+from zdg.graph import connected_graphs, format_graph, from_edge_list, is_uniquely_determined
 from zdg.realize import (
     BOOLEAN,
     PLAIN,
@@ -592,6 +592,55 @@ def test_size_guard_and_preconditions():
         brute_force_realize(empty)
     with pytest.raises(ValueError, match="connected"):
         brute_force_realize(from_edge_list(3, [(0, 1)]))
+
+
+def _boolean_search(g, monkeypatch, **kw):
+    """realize_all in boolean mode with the join path off: the search runs
+    whatever g is."""
+    with monkeypatch.context() as m:
+        m.setattr(zdg.realize, "is_uniquely_determined", lambda g: False)
+        return realize_all(g, BOOLEAN, **kw)
+
+
+def test_join_table_matches_the_boolean_search(monkeypatch):
+    # every labeled connected uniquely determined graph on up to 6 vertices
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n) if is_uniquely_determined(g)]
+    assert len(graphs) == 18_854
+    joined = [realize_all(g, BOOLEAN) for g in graphs]
+    assert sum(r.labeled_count for r in joined) == 1_567
+    for g, join in zip(graphs, joined):
+        search = _boolean_search(g, monkeypatch)
+        assert join.to_dict() == search.to_dict(), g.edges()
+        assert join.tables == search.tables, g.edges()
+    # the bit-vector graphs, each with its one table, also under a limit
+    for k in range(2, 7):
+        g = _f2k_graph(k)
+        for limit in (None, 1, 2):
+            join = realize_all(g, BOOLEAN, limit=limit, max_n=g.n)
+            search = _boolean_search(g, monkeypatch, limit=limit, max_n=g.n)
+            assert join.to_dict() == search.to_dict(), (k, limit)
+            assert join.tables == search.tables, (k, limit)
+            assert join.status == "unique" and not join.truncated
+
+
+@pytest.mark.parametrize(
+    "g, kw, error",
+    [
+        (_f2k_graph(5), {"max_n": 29}, TooLargeError),
+        (from_edge_list(4, [(0, 1), (2, 3)]), {}, ValueError),
+        (_K2, {"limit": 0}, ValueError),
+        (from_edge_list(0, []), {}, ValueError),
+    ],
+    ids=["over max_n", "disconnected", "limit 0", "no vertex"],
+)
+def test_join_path_keeps_the_input_checks(g, kw, error, monkeypatch):
+    # each graph is uniquely determined, so it would take the join path
+    assert is_uniquely_determined(g)
+    with pytest.raises(error) as join:
+        realize_all(g, BOOLEAN, **kw)
+    with pytest.raises(error) as search:
+        _boolean_search(g, monkeypatch, **kw)
+    assert str(join.value) == str(search.value)
 
 
 def test_automorphism_list_is_bounded(monkeypatch, tmp_path, capsys):

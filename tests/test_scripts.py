@@ -68,6 +68,6 @@ def test_output_digest_is_pinned(monkeypatch, capsys):
     except SystemExit as exc:
         assert exc.code in (None, 0)
     assert capsys.readouterr().out == (
-        "648 calls, sha256 "
-        "fbc1147627a60c1f3a541d910318a37d1fb79428f3aebbeae9a3873bf00908cc\n"
+        "942 calls, sha256 "
+        "df61168ddd4e4fb4e0e7a7c6e78804e78b035faf3a83ff374ad4e3b2049cfaf3\n"
     )
