@@ -16,7 +16,9 @@ Text format (read/write, bit exact on writer output)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, permutations, product
+from math import factorial, prod
+from operator import itemgetter
 
 from .errors import _MAX_COUNT, FormatError, TooLargeError, _check_name, _LineReader
 
@@ -246,9 +248,10 @@ def _signatures(g: Graph) -> list[tuple]:
     ]
 
 
-def isomorphisms(g: Graph, h: Graph):
+def _bijections(g: Graph, h: Graph, prev: list[int]):
     """Yield every adjacency-preserving vertex bijection g -> h, as the tuple
-    of images, in lexicographic order.
+    of images, in lexicographic order, that maps each vertex v above the
+    image of prev[v]; prev[v] = n puts no bound on v.
 
     Backtracking over images with degree-signature and adjacency pruning;
     there is no size guard, as the work follows the bijections, not n.
@@ -260,42 +263,82 @@ def isomorphisms(g: Graph, h: Graph):
         return
     n, hadj = g.n, h.adj
     candidates = [[w for w in range(n) if sh[w] == sg[v]] for v in range(n)]
-    image = [0] * n
+    image = [0] * n + [-1]  # image[n] = -1 bounds nothing
 
     def extend(v: int, used: int):
         if v == n:
-            yield tuple(image)
+            yield tuple(image[:n])
             return
         # w may be v's image iff its neighbours among the images placed so
         # far are exactly the images of v's neighbours below v
         want = 0
         for u in bits(g.adj[v] & ((1 << v) - 1)):
             want |= 1 << image[u]
+        low = image[prev[v]]
         for w in candidates[v]:
-            if not (used >> w) & 1 and hadj[w] & used == want:
+            if w > low and not (used >> w) & 1 and hadj[w] & used == want:
                 image[v] = w
                 yield from extend(v + 1, used | 1 << w)
 
     yield from extend(0, 0)
 
 
+def isomorphisms(g: Graph, h: Graph):
+    """Yield every adjacency-preserving vertex bijection g -> h, as the tuple
+    of images, in lexicographic order."""
+    return _bijections(g, h, [g.n] * g.n)
+
+
+def _twin_products(keeping: list[tuple[int, ...]], classes) -> list[tuple[int, ...]]:
+    """Every v -> s[t[v]], t in keeping and s a permutation of each class
+    among itself, sorted."""
+    if not classes:
+        return keeping
+    moved = [v for vs in classes for v in vs]
+    gets = [itemgetter(*t) for t in keeping]  # a class has two vertices: n >= 2, tuples
+    s = list(range(len(keeping[0])))
+    auts = []
+    for images in product(*map(permutations, classes)):
+        for v, w in zip(moved, chain.from_iterable(images)):
+            s[v] = w
+        auts += [get(s) for get in gets]
+    auts.sort()
+    return auts
+
+
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """The full automorphism group as explicit vertex permutations, in
-    lexicographic order; TooLargeError past MAX_AUTOMORPHISMS of them, before
-    listing any if permuting twins (equal open, or closed, neighbourhoods)
-    already gives more."""
+    lexicographic order; TooLargeError, before listing any, past
+    MAX_AUTOMORPHISMS of them.
+
+    Twins, vertices with equal open neighbourhoods or, among the rest, equal
+    closed ones, can be permuted freely within their class, and every
+    automorphism maps each class onto a class, so each coset of that
+    product of symmetric groups holds one automorphism that keeps every
+    class in ascending order.  |Aut(G)| is the product of the |class|!
+    times the number of those, which the backtracking of isomorphisms
+    (_bijections) finds with one more bound: each class member maps above
+    the previous member's image.  The group is listed only once its order is known to fit.
+    """
     too_large = f"automorphism group has more than {MAX_AUTOMORPHISMS} elements"
-    for masks in (g.adj, (mask | 1 << v for v, mask in enumerate(g.adj))):
-        size, order = {}, 1  # order: the product of |class|! so far
-        for mask in masks:
-            size[mask] = k = size.get(mask, 0) + 1
-            order *= k
-            if order > MAX_AUTOMORPHISMS:
-                raise TooLargeError(too_large)
-    auts = list(islice(isomorphisms(g, g), MAX_AUTOMORPHISMS + 1))
-    if len(auts) > MAX_AUTOMORPHISMS:
+    classes, rest = [], {}
+    for vs in hood_classes(g).values():
+        if len(vs) > 1:
+            classes.append(vs)
+        else:
+            rest.setdefault(g.adj[vs[0]] | 1 << vs[0], []).append(vs[0])
+    classes += [vs for vs in rest.values() if len(vs) > 1]
+    order = prod(factorial(len(vs)) for vs in classes)
+    if order > MAX_AUTOMORPHISMS:
         raise TooLargeError(too_large)
-    return auts
+    prev = [g.n] * g.n
+    for vs in classes:
+        for u, v in zip(vs, vs[1:]):
+            prev[v] = u
+    keeping = list(islice(_bijections(g, g, prev), MAX_AUTOMORPHISMS // order + 1))
+    if len(keeping) * order > MAX_AUTOMORPHISMS:
+        raise TooLargeError(too_large)
+    return _twin_products(keeping, classes)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> tuple[int, ...] | None:

@@ -26,7 +26,9 @@ enumeration searches one table per orbit: the least among its images when
 cells are read in a static order, the root's open cells with the
 off-diagonal ones first (lex-leader pruning, valid for any fixed order), and
 then expands each orbit into its labeled tables.  While an image is tied,
-the search branches in that order too, so comparisons settle near the root.
+the search branches in that order too, so comparisons settle near the root,
+and each value of the branch cell is compared before it is propagated.  An
+automorphism reads an image key through one itemgetter of key positions.
 A search with a limit enumerates labeled tables directly, so its first
 tables do not depend on Aut(G), and counts the orbits they meet.  The
 expansion and that count walk the orbits the same way, through _orbits.  A
@@ -385,12 +387,20 @@ def apply_automorphism(t: MulTable, perm: tuple[int, ...]) -> MulTable:
     return table_from_rows(rows)
 
 
-def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
-    """Per automorphism of g, the triple (p, q, idx): the element map p, its
-    inverse q, and for each position of a canonical key the position of the
-    original key it is read from.  The image of table t under p reads
-    p[t[q[i]][q[j]]] at cell (i, j), so its key has p[key[idx[k]]] at the
-    k-th upper-triangle cell.
+def _getter(positions):
+    """itemgetter(*positions), but a tuple for a single position too."""
+    if len(positions) == 1:
+        k = positions[0]
+        return lambda seq: (seq[k],)
+    return itemgetter(*positions)
+
+
+def _image_maps(g: Graph) -> list[tuple]:
+    """Per automorphism of g, the triple (p, q, get): the element map p, its
+    inverse q, and an itemgetter that moves each cell of a key to its cell
+    in the image.  The image of table t under p reads p[t[q[i]][q[j]]] at
+    cell (i, j), so the image of a key is get applied to the key's entries
+    mapped by p, two C calls (see _orbits).
 
     AssertionError for a permutation that does not map g onto itself."""
     n = g.n
@@ -398,7 +408,7 @@ def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
     pos = [[0] * (n + 1) for _ in range(n + 1)]
     for k, (i, j) in enumerate(cells):
         pos[i][j] = pos[j][i] = k
-    edge = [(g.adj[i - 1] >> (j - 1)) & 1 for i, j in cells]
+    edge = tuple((g.adj[i - 1] >> (j - 1)) & 1 for i, j in cells)
     vertices = list(range(n))
     maps = []
     for a in automorphisms(g):
@@ -408,10 +418,10 @@ def _image_maps(g: Graph) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
         q = [0] * (n + 1)
         for e in range(n + 1):
             q[p[e]] = e
-        idx = [pos[q[i]][q[j]] for i, j in cells]
-        if [edge[k] for k in idx] != edge:
+        get = _getter([pos[q[i]][q[j]] for i, j in cells])
+        if get(edge) != edge:
             raise AssertionError(f"{a} does not map the graph onto itself")
-        maps.append((p, q, idx))
+        maps.append((p, q, get))
     return maps
 
 
@@ -419,16 +429,19 @@ def _orbits(keys, maps) -> tuple[list[set[tuple[int, ...]]], set[tuple[int, ...]
     """The Aut(G) orbits the keys meet, in the order they are met, and their
     union: walking the keys in order, a key no earlier orbit holds opens a
     new orbit, the set of the keys of its images under maps (see
-    _image_maps).  So Aut(G) is applied once per orbit, not once per table.
+    _image_maps).  So Aut(G) is applied once per orbit, not once per table,
+    and each image is get(read(p)), with read, the key's entries, built
+    once per orbit.
 
-    The images need no MulTable of their own: each entry is p[key[k]], with
-    p a permutation _image_maps checked, so every entry of an image of a
+    The images need no MulTable of their own: each entry is p[e], with p a
+    permutation _image_maps checked, so every entry of an image of a
     validated table is in range by construction."""
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for key in keys:
         if key not in seen:
-            orbit = {tuple([p[key[k]] for k in idx]) for p, _, idx in maps}
+            read = _getter(key)
+            orbit = {get(read(p)) for p, _, get in maps}
             seen |= orbit
             orbits.append(orbit)
     return orbits, seen
@@ -581,21 +594,25 @@ def _least_so_far(T: list[list[int]], cells: list, tied: list) -> list | None:
     against the image's p[T[q[i]][q[j]]].  An image stays tied while either
     cell is unknown and is dropped once it is larger; None once some image
     is smaller, as it stays in every completion, so the table cannot be its
-    orbit's least."""
+    orbit's least.  Most images stop where they stood; they keep their
+    tuple."""
     still = []
-    for p, q, at in tied:
-        for k in range(at, len(cells)):
+    end = len(cells)
+    for image in tied:
+        p, q, k = image
+        while k < end:
             i, j = cells[k]
             x = T[i][j]
             y = T[q[i]][q[j]]
             if x == UNKNOWN or y == UNKNOWN:
-                still.append((p, q, k))
+                still.append(image if k == image[2] else (p, q, k))
                 break
             y = p[y]
             if x != y:
                 if y < x:
                     return None
                 break
+            k += 1
     return still
 
 
@@ -612,24 +629,35 @@ def _dfs(
     solution is its orbit's least in the static order.  While one is tied,
     the node branches on the first open cell of that order, none of which
     lies before where a tied comparison stopped; once none is, on the cell
-    _pick_cell chooses.
+    _pick_cell chooses.  Each value of the branch cell is first written into
+    this node's table and the comparisons resumed: a value that makes an
+    image smaller already is skipped without a copy or a propagation, and
+    the child resumes from where these comparisons stopped.
     """
+    T = state.table
     if tied:
-        tied = _least_so_far(state.table, cells, tied)
+        tied = _least_so_far(T, cells, tied)
         if tied is None:
             return True
     if tied:
-        T = state.table
         cell = next((i, j) for i, j in cells[tied[0][2]:] if T[i][j] == UNKNOWN)
     else:
         cell = _pick_cell(state)
     if cell is None:
         out.append(_verify_solution(state, g))
         return cap is None or len(out) < cap
+    i, j = cell
     for v in bits(state.domains[cell]):
+        below = tied
+        if tied:
+            T[i][j] = T[j][i] = v
+            below = _least_so_far(T, cells, tied)
+            T[i][j] = T[j][i] = UNKNOWN
+            if below is None:
+                continue
         child = state.copy()
-        child.assign(cell[0], cell[1], v)
-        if propagate(child) is None and not _dfs(child, g, out, cap, cells, tied):
+        child.assign(i, j, v)
+        if propagate(child) is None and not _dfs(child, g, out, cap, cells, below):
             return False
     return True
 

@@ -205,7 +205,8 @@ def test_twins_refuse_a_large_group_before_listing_it(monkeypatch):
     # before a permutation is listed
     monkeypatch.setattr(zdg.graph, "MAX_AUTOMORPHISMS", 100)
     with monkeypatch.context() as m:
-        m.setattr(zdg.graph, "isomorphisms", lambda g, h: pytest.fail("listed"))
+        for helper in ("_bijections", "_twin_products"):
+            m.setattr(zdg.graph, helper, lambda *args: pytest.fail("listed"))
         for g in (families.complete_bipartite(1, 5), families.complete(5)):
             with pytest.raises(TooLargeError, match="more than 100"):
                 automorphisms(g)
@@ -224,6 +225,41 @@ def test_automorphisms_refuse_a_large_group_after_listing_it(monkeypatch):
     monkeypatch.setattr(zdg.graph, "MAX_AUTOMORPHISMS", 12)
     auts = automorphisms(c6)
     assert len(auts) == 12 and auts == sorted(oracle_automorphisms(c6))
+
+
+def test_automorphisms_refuse_k66_before_listing_any(monkeypatch):
+    # K6,6: 6!6! = 518,400 from its twins, times 2 for the swap of its sides
+    monkeypatch.setattr(zdg.graph, "_twin_products", lambda *args: pytest.fail("listed"))
+    with pytest.raises(TooLargeError, match="more than 1000000"):
+        automorphisms(families.complete_bipartite(6, 6))
+
+
+def test_automorphisms_order_is_exact(monkeypatch):
+    # K3,3 has 3!3! = 36 from its twins, times 2: accepted at 72, refused at
+    # 71 before the group is listed
+    k33 = families.complete_bipartite(3, 3)
+    monkeypatch.setattr(zdg.graph, "MAX_AUTOMORPHISMS", 72)
+    assert len(automorphisms(k33)) == 72
+    monkeypatch.setattr(zdg.graph, "MAX_AUTOMORPHISMS", 71)
+    monkeypatch.setattr(zdg.graph, "_twin_products", lambda *args: pytest.fail("listed"))
+    with pytest.raises(TooLargeError, match="more than 71"):
+        automorphisms(k33)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        families.complete(6),
+        families.complete_bipartite(3, 3),
+        families.complete_multipartite([2, 2, 2]),
+        families.complete_bipartite(1, 6),
+        families.m_nk(5, 1),
+        families.two_star(2, 3),
+    ],
+    ids=["K6", "K3,3", "K2,2,2", "K1,6", "m-nk 5 1", "two-star 2 3"],
+)
+def test_twin_built_group_matches_oracle_on_twin_heavy_graphs(g):
+    assert automorphisms(g) == sorted(oracle_automorphisms(g))
 
 
 def test_isomorphism_witness():
@@ -410,6 +446,7 @@ def test_neighbourhood_predicates_match_oracles(g):
 
 
 @given(graphs(max_n=5))
+@on_every_graph_upto_5
 def test_automorphisms_form_a_group(g):
     auts = automorphisms(g)
     assert auts == sorted(oracle_automorphisms(g))

@@ -13,7 +13,13 @@ import zdg.realize
 from zdg import cli, families
 from zdg.boolean_algebra import check_boolean_graph_conditions
 from zdg.errors import TooLargeError
-from zdg.graph import connected_graphs, format_graph, from_edge_list, is_uniquely_determined
+from zdg.graph import (
+    automorphisms,
+    connected_graphs,
+    format_graph,
+    from_edge_list,
+    is_uniquely_determined,
+)
 from zdg.realize import (
     BOOLEAN,
     PLAIN,
@@ -241,32 +247,74 @@ def test_search_output_pinned(name):
 # _dfs calls of the orbit search that branches in its static order while an
 # image is tied: an image found smaller near the root prunes a whole subtree
 _NODE_CEILINGS = {
-    "K1,5": 1888,
-    "K2,4": 579,
-    "K3,3": 319,
-    "K2,3": 119,
-    "K5": 115,
-    "m-nk 5 1": 288,
-    "fig4 2 2 2": 39,
-    "m-nk 5 2": 4,
-    "m-nk 6 2": 5,
-    "m-nk 7 2": 6,
+    "K1,5": 1613,
+    "K2,4": 517,
+    "K3,3": 259,
+    "K2,3": 108,
+    "K5": 59,
+    "m-nk 5 1": 214,
+    "fig4 2 2 2": 29,
+    "m-nk 5 2": 2,
+    "m-nk 6 2": 2,
+    "m-nk 7 2": 2,
+}
+
+# propagate calls of the same searches: a value of the branch cell that makes
+# an image smaller is skipped before its child is propagated
+_PROPAGATE_CEILINGS = {
+    "K1,5": 1990,
+    "K2,4": 612,
+    "K3,3": 289,
+    "K5": 59,
+    "m-nk 5 1": 239,
+    "m-nk 7 2": 3,
 }
 
 
-@pytest.mark.parametrize("name", sorted(_NODE_CEILINGS))
-def test_orbit_search_prunes_near_the_root(monkeypatch, name):
-    real = zdg.realize._dfs
+def _count_calls(monkeypatch, name):
+    """A list whose one entry counts the calls of zdg.realize.name."""
+    real = getattr(zdg.realize, name)
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(zdg.realize, "_dfs", counted)
+    monkeypatch.setattr(zdg.realize, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_NODE_CEILINGS))
+def test_orbit_search_prunes_near_the_root(monkeypatch, name):
+    calls = _count_calls(monkeypatch, "_dfs")
     graph, mode = _SEARCHES[name]
     realize_all(graph, mode)
     assert calls[0] <= _NODE_CEILINGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_PROPAGATE_CEILINGS))
+def test_orbit_search_prunes_before_propagating(monkeypatch, name):
+    calls = _count_calls(monkeypatch, "propagate")
+    graph, mode = _SEARCHES[name]
+    realize_all(graph, mode)
+    assert calls[0] <= _PROPAGATE_CEILINGS[name]
+
+
+@pytest.mark.parametrize(
+    "g, key, orbit",
+    [
+        (from_edge_list(1, []), (0,), {(0,)}),
+        # the swap maps squares (1*1, 2*2) = (0, 1) to (2, 0)
+        (from_edge_list(2, [(0, 1)]), (0, 0, 1), {(0, 0, 1), (2, 0, 0)}),
+    ],
+    ids=["K1", "K2"],
+)
+def test_image_maps_give_tuple_images(g, key, orbit):
+    # K1's key has a single cell, where a bare itemgetter returns a value
+    maps = zdg.realize._image_maps(g)
+    assert len(maps) == len(automorphisms(g))
+    assert {get(tuple(p[e] for e in key)) for p, _, get in maps} == orbit
+    assert zdg.realize._orbits([key], maps) == ([orbit], orbit)
 
 
 def _f2k_graph(k):

@@ -45,6 +45,43 @@ def test_script_runs(name, lines, monkeypatch, capsys):
         assert line in out
 
 
+def test_boolean_ring_demo_refuses_a_ring_past_the_isomorphism_cap(monkeypatch, capsys):
+    # k = 5 realizes its 30-vertex graph, but its 32-element ring is over the
+    # 16 elements ring_isomorphic compares
+    path = str(SCRIPTS / "boolean_ring_demo.py")
+    monkeypatch.setattr(sys, "argv", [path, "5"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(path, run_name="__main__")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage: boolean_ring_demo.py [k], k = 2..4\n"
+
+
+def test_ab_compare_runs_one_round(monkeypatch, capsys):
+    # this checkout against itself: the outputs must agree
+    path = str(SCRIPTS / "ab_compare.py")
+    root = str(SCRIPTS.parent)
+    monkeypatch.setattr(sys, "argv", [path, root, root, "--workload", "realize", "--rounds", "1"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    # the script imports zdg afresh; the rest of the suite keeps the modules
+    # it imported
+    ours = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "zdg"}
+    try:
+        runpy.run_path(path, run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (None, 0)
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "zdg"]:
+            del sys.modules[name]
+        sys.modules.update(ours)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:2] for line in lines[:2]] == ["A ", "B "]
+    assert "hardest realize " in lines[0]
+    assert re.fullmatch(r"realize: \d+ requests, 1 rounds; B/A [\d.]+; outputs identical: yes",
+                        lines[2]), lines
+
+
 def test_output_digest_prints_one_line(monkeypatch, capsys):
     path = str(SCRIPTS / "output_digest.py")
     monkeypatch.setattr(sys, "argv", [path, "--seeds", "0"])
