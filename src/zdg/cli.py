@@ -268,10 +268,17 @@ def _cmd_theorems(args) -> int:
             print(f"table violates axioms: {bad[0].describe()}", file=sys.stderr)
             return 2
         verdicts = TH.all_verdicts(t)
-    counter = len(TH.counterexamples(verdicts))
-    # a sweep repeats few distinct verdicts many times over, so each is
-    # rendered once per request, keyed by its value
-    texts = list(map(functools.cache(_verdict_json if args.json else _verdict_line), verdicts))
+    # a sweep repeats few verdict objects many times over, so each object
+    # is rendered and classified once per request, keyed by its id (the
+    # list keeps every one alive); equal verdicts held by different objects
+    # still render once, through a cache keyed by value
+    ids = list(map(id, verdicts))
+    distinct = dict(zip(ids, verdicts))
+    render = functools.cache(_verdict_json if args.json else _verdict_line)
+    text = {i: render(v) for i, v in distinct.items()}
+    refuted = {i for i, v in distinct.items() if v.is_counterexample}
+    texts = list(map(text.__getitem__, ids))
+    counter = sum(map(refuted.__contains__, ids)) if refuted else 0
     if args.json:
         listing = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
         out = f'{{\n  "verdicts": {listing},\n  "counterexamples": {counter}\n}}\n'

@@ -19,10 +19,12 @@ table of the graph, when G already fails the hypotheses, or returns the
 table check, a function of the table that tests what is left and returns
 the verdict.  A verifier builds the stage of its instance on first use and
 keeps it on the facts (GraphFacts.stages, which bind passes on), so every
-table of one graph shares it.  plan(g) builds every stage of g once and
-lays out the verdicts of every table realizing g: a settled instance is one
-verdict shared by every table, and only the others call a verifier per
-table.  all_verdicts(t) is the plan of t's own graph, applied to t.
+table of one graph shares it.  A table check reads the table's TableFacts,
+which test each element set for closure once per table (_closure).  plan(g)
+builds every stage of g once and lays out the verdicts of every table
+realizing g: a settled instance is one verdict shared by every table, and
+only the others call a verifier per table.  all_verdicts(t) is the plan of
+t's own graph, applied to t.
 """
 
 from __future__ import annotations
@@ -76,9 +78,11 @@ class GraphFacts:
 
 @dataclass(frozen=True)
 class TableFacts(GraphFacts):
-    """A table with the facts of its zero-divisor graph."""
+    """A table with the facts of its zero-divisor graph, and closed, the
+    memo of _closure, which is no part of the facts' value either."""
 
     table: MulTable
+    closed: dict = field(compare=False, repr=False)
 
 
 def graph_facts(g: G.Graph) -> GraphFacts:
@@ -106,13 +110,15 @@ def bind(f: GraphFacts, t: MulTable) -> TableFacts:
     if adj != g.adj:
         x = next(v for v in range(g.n) if adj[v] != g.adj[v]) + 1
         raise ValueError(f"element {x}: its zero products are not its neighbours in the graph")
-    return TableFacts(f.graph, f.has_cycle, f.pendants, f.hoods, f.core, f.stages, table=t)
+    return TableFacts(f.graph, f.has_cycle, f.pendants, f.hoods, f.core, f.stages,
+                      table=t, closed={})
 
 
 def _stage(f: GraphFacts, build, *args):
     """The graph stage build(f, *args) of one instance, built on first use
     and kept in f.stages: the TheoremVerdict of every table of the graph,
-    or the table check, which takes the table and returns its verdict."""
+    or the table check, which takes the TableFacts of a table and returns
+    its verdict."""
     key = (build, *args)
     stage = f.stages.get(key)
     if stage is None:
@@ -121,9 +127,21 @@ def _stage(f: GraphFacts, build, *args):
 
 
 def _run(f: TableFacts, build, *args) -> TheoremVerdict:
-    """The verdict of f's table at one instance, through its graph stage."""
-    stage = _stage(f, build, *args)
-    return stage(f.table) if callable(stage) else stage
+    """The verdict of f's table at one instance, through its graph stage,
+    found with one lookup once it is built (a stage is never falsy)."""
+    stage = f.stages.get((build, *args)) or _stage(f, build, *args)
+    return stage(f) if callable(stage) else stage
+
+
+def _closure(f: TableFacts, sub: frozenset[int]) -> tuple[int, int, int] | None:
+    """The closure witness of sub in f's table, tested once per table and
+    set and kept in f.closed: thm_2_1 at every x with one tx, and cor_2_2
+    at tx = T_x, test one set S - tx, and prop_2_7 and thm_2_9 both test
+    T_x | {0}."""
+    closed = f.closed
+    if sub not in closed:
+        closed[sub] = SG.closure_witness(f.table, sub)
+    return closed[sub]
 
 
 def _check_element(f: GraphFacts, x: int):
@@ -148,13 +166,13 @@ def _closure_check(f: GraphFacts, x: int, tx: frozenset[int], theorem: str, name
     square = bool(f.pendants[x]) and f.has_cycle
     holds = TheoremVerdict(theorem, name, True, True)
 
-    def check(t: MulTable) -> TheoremVerdict:
-        bad = SG.closure_witness(t, rest)
+    def check(tf: TableFacts) -> TheoremVerdict:
+        bad = _closure(tf, rest)
         if bad is not None:
             return TheoremVerdict(
                 theorem, name, True, False, f"{bad[0]}*{bad[1]}={bad[2]} leaves S - tx"
             )
-        xx = t.prod[x][x]
+        xx = tf.table.prod[x][x]
         if square and xx not in (0, x):
             return TheoremVerdict(theorem, name, True, False, f"x*x = {xx} is neither 0 nor x")
         return holds
@@ -211,10 +229,10 @@ def _prop_2_7_stage(f: GraphFacts, x: int):
     ends = f.pendants[x] | {0}
     holds = TheoremVerdict("prop_2_7", name, True, True)
 
-    def check(t: MulTable) -> TheoremVerdict:
-        if t.prod[x][x] == 0:
+    def check(tf: TableFacts) -> TheoremVerdict:
+        if tf.table.prod[x][x] == 0:
             return na
-        bad = SG.closure_witness(t, ends)
+        bad = _closure(tf, ends)
         if bad is not None:
             return TheoremVerdict(
                 "prop_2_7", name, True, False,
@@ -258,7 +276,8 @@ def _thm_2_9_stage(f: GraphFacts, s: int, u: int):
     def fail(witness: str) -> TheoremVerdict:
         return TheoremVerdict("thm_2_9", name, True, False, witness)
 
-    def check(t: MulTable) -> TheoremVerdict:
+    def check(tf: TableFacts) -> TheoremVerdict:
+        t = tf.table
         p = t.prod
         if p[s][s] != 0 or p[u][u] != 0:
             return na
@@ -270,7 +289,7 @@ def _thm_2_9_stage(f: GraphFacts, s: int, u: int):
             if products != {0, v}:
                 return fail(f"{v}S = {sorted(products)} != {{0, {v}}}")
         if quad_free or all(p[w][w] == 0 for w in core_hood):
-            bad = SG.closure_witness(t, ends)
+            bad = _closure(tf, ends)
             if bad is not None:
                 return fail(f"{bad[0]}*{bad[1]}={bad[2]} leaves T_s | {{0}}")
             for y in sorted(ts):
@@ -304,8 +323,8 @@ def _prop_2_10_stage(f: GraphFacts):
     m_ud = m > 0 and G.is_m_uniquely_determined(g, m)
     elems = range(g.n + 1)
 
-    def check(t: MulTable) -> TheoremVerdict:
-        p = t.prod
+    def check(tf: TableFacts) -> TheoremVerdict:
+        p = tf.table.prod
         cand = [s for s in top if p[s][s] == s]
         name = f"prop_2_10(m={m}, candidates={cand})"
         if not cand or not m_ud:
@@ -337,12 +356,13 @@ def _thm_3_2_stage(f: GraphFacts):
         for x, nx in f.hoods.items()
     ]
 
-    def check(t: MulTable) -> TheoremVerdict:
+    def check(tf: TableFacts) -> TheoremVerdict:
+        t = tf.table
         if not SG.is_boolean(t):
             return na
         for x, sx, lx in classes:
             for sub, label in ((sx, "S_x"), (lx, "S_<=x")):
-                bad = SG.closure_witness(t, sub)
+                bad = _closure(tf, sub)
                 if bad is not None:
                     return TheoremVerdict(
                         "thm_3_2", "thm_3_2", True, False,
@@ -375,10 +395,10 @@ def _cor_3_3_stage(f: GraphFacts):
     hoods = f.hoods
     below = [(y, x) for x in hoods for y in hoods if hoods[y] <= hoods[x]]
 
-    def check(t: MulTable) -> TheoremVerdict:
-        if not SG.is_boolean(t):
+    def check(tf: TableFacts) -> TheoremVerdict:
+        if not SG.is_boolean(tf.table):
             return na
-        p = t.prod
+        p = tf.table.prod
         for y, x in below:
             if p[y][x] != x:
                 if not ud:
@@ -403,10 +423,10 @@ def _prop_3_6_stage(f: GraphFacts):
     holds = TheoremVerdict("prop_3_6", "prop_3_6", True, True)
     elems = range(1, f.graph.n + 1)
 
-    def check(t: MulTable) -> TheoremVerdict:
-        if not SG.is_reduced(t):
+    def check(tf: TableFacts) -> TheoremVerdict:
+        if not SG.is_reduced(tf.table):
             return na
-        p = t.prod
+        p = tf.table.prod
         for x in elems:
             if p[x][x] != x:
                 return TheoremVerdict("prop_3_6", "prop_3_6", True, False,
@@ -446,23 +466,28 @@ def plan(g: G.Graph) -> Callable[[MulTable], list[TheoremVerdict]]:
     the table's zero-divisor graph.
 
     The plan builds the graph stage of every instance once, then lays out
-    a list of slots in sweep order: the TheoremVerdict of an instance whose
-    stage settled it, shared by every table, else its verifier waiting for
-    the table, which runs the stage's table check.  The free subset tx of
-    the first claim ranges over the subsets that can meet its hypotheses
+    a template of slots in sweep order: the TheoremVerdict of an instance
+    whose stage settled it, shared by every table, else an open slot.  Each
+    table gets a copy of the template whose open slots its verifiers fill,
+    each running the stage's table check.  The free subset tx of the first
+    claim ranges over the subsets that can meet its hypotheses
     (see _thm_2_1_subsets), or only over T_x when g has more than
     _MAX_FREE_TX_N vertices.  The verifiers are looked up here, so a
     wrapper set on this module before the call is the one called, once per
     table and unsettled instance.
     """
     f = graph_facts(g)
-    slots: list[TheoremVerdict | Callable[[TableFacts], TheoremVerdict]] = []
+    template: list[TheoremVerdict | None] = []
+    open_slots: list[tuple[int, Callable[[TableFacts], TheoremVerdict]]] = []
 
     def add(verify, build, **args):
         # args in the order verify passes them to build, so that each
         # table's call finds this stage under the same key
         stage = _stage(f, build, *args.values())
-        slots.append(partial(verify, **args) if callable(stage) else stage)
+        if callable(stage):
+            open_slots.append((len(template), partial(verify, **args)))
+            stage = None
+        template.append(stage)
 
     elems = range(1, g.n + 1)
     for x in elems:
@@ -481,7 +506,10 @@ def plan(g: G.Graph) -> Callable[[MulTable], list[TheoremVerdict]]:
 
     def verdicts(t: MulTable) -> list[TheoremVerdict]:
         tf = bind(f, t)
-        return [s(tf) if callable(s) else s for s in slots]
+        out = template.copy()
+        for i, verify in open_slots:
+            out[i] = verify(tf)
+        return out
 
     return verdicts
 
@@ -490,7 +518,3 @@ def all_verdicts(t: MulTable) -> list[TheoremVerdict]:
     """Sweep every verifier over every eligible instance of one table: the
     plan of its zero-divisor graph, applied to it."""
     return plan(SG.zero_divisor_graph(t))(t)
-
-
-def counterexamples(verdicts: Iterable[TheoremVerdict]) -> list[TheoremVerdict]:
-    return [v for v in verdicts if v.is_counterexample]

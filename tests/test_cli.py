@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -349,6 +350,26 @@ def test_theorems_writes_a_counterexample_line(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "theorems", str(path))
     assert (code, err) == (1, "")
     assert out == "[COUNTEREXAMPLE] thm_2_1(x=1) (1*1=1)\ncounterexamples: 1\n"
+
+
+def test_theorems_counts_each_counterexample_where_it_occurs(tmp_path, capsys, monkeypatch):
+    # the writer renders each verdict object once, but a counterexample
+    # counts at each place it occurs: one object twice and an equal copy
+    # of it are three
+    path = tmp_path / "zero.zdg-table"
+    path.write_text("zdg-table 1\nn 0\n")
+    refuted = theorems.TheoremVerdict("thm_2_1", "thm_2_1(x=1)", True, False, "1*1=1")
+    copy = dataclasses.replace(refuted)
+    holds = theorems.TheoremVerdict("thm_3_2", "thm_3_2", True, True)
+    verdicts = [refuted, holds, refuted, copy]
+    assert copy == refuted and copy is not refuted
+    monkeypatch.setattr(cli.TH, "all_verdicts", lambda t: verdicts)
+    code, out, err = run(capsys, "theorems", str(path))
+    assert (code, err) == (1, "") and out == _written(verdicts, False)
+    assert out.count("[COUNTEREXAMPLE]") == 3 and out.endswith("\ncounterexamples: 3\n")
+    code, out, err = run(capsys, "theorems", str(path), "--json")
+    assert (code, err) == (1, "") and out == _written(verdicts, True)
+    assert loads(out)["counterexamples"] == 3
 
 
 def test_graph_read_from_stdin(base_graph_file, capsys, monkeypatch):

@@ -280,7 +280,7 @@ def test_all_verdicts_cover_every_verifier(fixture_tables):
         "cor_3_3",
         "prop_3_6",
     }
-    assert not theorems.counterexamples(vs)
+    assert not any(v.is_counterexample for v in vs)
 
 
 def _applicable(verdicts):
@@ -450,6 +450,45 @@ def test_one_plan_gives_each_table_its_own_verdicts(connected_classes_upto_5):
         ("cor_3_3", "absorption holds but not uniquely determined"),
         ("prop_3_6", "#*# = # != #"),
     }
+
+
+def test_sweep_tests_each_closed_set_once_per_table(monkeypatch):
+    # the first closure claim at every x with one tx, and at tx = T_x,
+    # tests one set S - tx, and prop_2_7 and thm_2_9 both test T_s | {0}:
+    # each (table, set) pair is tested once, and each remembered witness
+    # is the one a direct test gives
+    g = families.m_nk(4, 1)
+    tables = realize_all(g, PLAIN).tables
+    closure_witness, bind = theorems.SG.closure_witness, theorems.bind
+    tested, bound = Counter(), []
+    monkeypatch.setattr(theorems.SG, "closure_witness",
+                        lambda t, sub: tested.update([(id(t), sub)]) or closure_witness(t, sub))
+    monkeypatch.setattr(theorems, "bind", lambda f, t: bound.append(bind(f, t)) or bound[-1])
+    verdicts_of = theorems.plan(g)
+    for t in tables:
+        verdicts_of(t)
+    assert len(tables) == len(bound) == 167
+    assert len(tested) == 695 and max(tested.values()) == 1
+    assert sum(len(tf.closed) for tf in bound) == len(tested)
+    for tf in bound:
+        for sub, bad in tf.closed.items():
+            assert bad == closure_witness(tf.table, sub)
+
+
+def test_each_table_gets_a_verdict_list_of_its_own():
+    # the plan copies one template of slots per table: a list handed out
+    # and changed by its caller must not reach the next table's list
+    g = families.m_nk(4, 1)
+    tables = realize_all(g, PLAIN).tables
+    t1 = tables[0]
+    t2 = next(t for t in tables if theorems.all_verdicts(t) != theorems.all_verdicts(t1))
+    verdicts_of = theorems.plan(g)
+    first, second = verdicts_of(t1), verdicts_of(t2)
+    assert first is not second
+    assert first == theorems.all_verdicts(t1) and second == theorems.all_verdicts(t2)
+    first[:] = [None] * len(first)
+    assert second == theorems.all_verdicts(t2)
+    assert verdicts_of(t1) == theorems.all_verdicts(t1)
 
 
 # sha256 of the stdout of `zdg theorems --sweep G`, as the code before the
