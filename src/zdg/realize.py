@@ -27,13 +27,13 @@ cells are read in a static order, the root's open cells with the
 off-diagonal ones first (lex-leader pruning, valid for any fixed order), and
 then expands each orbit into its labeled tables.  While an image is tied,
 the search branches in that order too, so comparisons settle near the root,
-and each value of the branch cell is compared before it is propagated.  An
-automorphism reads an image key through one itemgetter of key positions.
-A search with a limit enumerates labeled tables directly, so its first
-tables do not depend on Aut(G), and counts the orbits they meet.  The
-expansion and that count walk the orbits the same way, through _orbits.  A
-report stores its keys, orbit count and truncation flag; its labeled count
-and status are read off those.
+and each value of the branch cell is compared before it is propagated.
+_search breaks the group whose image maps it is given, which must map its
+propagated root onto itself: Aut(G), none (every labeled table, as under a
+limit, so the first tables do not depend on Aut(G)), or the stabilizer of
+pinned cells.  _orbits walks the orbits for the expansion and a limited
+search's orbit count.  A report stores its keys, orbit count and truncation
+flag; its labeled count and status are read off those.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class SearchState:
     and shared by every copy, and so is live: live[x] lists pairs (y, bs),
     the b of the equations (a, b, c), {a, c} = {x, y}, that propagate
     checks.  init_state lists every equation, sharing one range of b across
-    the pairs; realize_all replaces live, never mutating it, by the
-    equations its root propagation left open.  dirty holds the elements
+    the pairs; _search replaces live, never mutating it, by the equations
+    its propagated root left open.  dirty holds the elements
     whose cells were filled or narrowed since the last propagation fixpoint:
     both coordinates of each such cell.  A fresh state marks every element,
     so its first propagate checks every triple; a branch assigns one cell
@@ -572,11 +572,8 @@ def _static_order(root: SearchState) -> list[int]:
     orbit search compares images and, while some image is tied, branches.
     Off-diagonal cells come before diagonal ones, then least deg(x) + deg(y)
     in G, then fewest candidates at root, then cell; all but the last key
-    are label-free.
-
-    Cells root decided are left out.  init_state reads only G and propagate
-    has a single greatest fixpoint, so the root state is Aut(G)-invariant:
-    every decided cell compares equal under every automorphism.
+    are label-free.  Cells root decided are left out: the maps _search
+    breaks map root onto itself, so each decided cell compares equal.
     """
     cells = _key_cells(root.n)
     deg = root.deg
@@ -617,14 +614,14 @@ def _least_so_far(T: list[list[int]], cells: list, tied: list) -> list | None:
 
 
 def _dfs(
-    state: SearchState, g: Graph, out: list[MulTable], cap: int | None,
+    state: SearchState, g: Graph, out: list[tuple[int, ...]], cap: int | None,
     cells: list, tied: list,
 ) -> bool:
-    """Collect solutions depth first; returns False once cap is reached.
+    """Collect the keys of solutions depth first; False once cap is reached.
 
     cells is the static order and tied the images still compared with the
-    table in it, one (p, q, k) per non-identity automorphism p with inverse
-    q (see _image_maps), k the position in cells where its comparison
+    table in it, one (p, q, k) per map but the identity, p with inverse q
+    (see _image_maps), k the position in cells where its comparison
     stands.  A node where one of them is already smaller is pruned, so each
     solution is its orbit's least in the static order.  While one is tied,
     the node branches on the first open cell of that order, none of which
@@ -635,16 +632,15 @@ def _dfs(
     the child resumes from where these comparisons stopped.
     """
     T = state.table
-    if tied:
-        tied = _least_so_far(T, cells, tied)
-        if tied is None:
-            return True
+    tied = _least_so_far(T, cells, tied)
+    if tied is None:
+        return True
     if tied:
         cell = next((i, j) for i, j in cells[tied[0][2]:] if T[i][j] == UNKNOWN)
     else:
         cell = _pick_cell(state)
     if cell is None:
-        out.append(_verify_solution(state, g))
+        out.append(canonical_key(_verify_solution(state, g)))
         return cap is None or len(out) < cap
     i, j = cell
     for v in bits(state.domains[cell]):
@@ -672,7 +668,7 @@ def _tables_from_keys(keys, n: int) -> tuple[MulTable, ...]:
 
 
 def _expand_orbits(reps, maps, order: list[int]) -> list[tuple[int, ...]]:
-    """The sorted keys of every Aut(G) image of the representatives, given
+    """The sorted keys of every image under maps of the representatives, given
     as sorted canonical keys of validated tables.
 
     AssertionError unless each representative opens an orbit of its own,
@@ -693,6 +689,19 @@ def _expand_orbits(reps, maps, order: list[int]) -> list[tuple[int, ...]]:
     return sorted(keys)
 
 
+def _search(root: SearchState, g: Graph, maps, limit: int | None) -> tuple[list, list[int]]:
+    """The keys below root, a conflict-free propagation fixpoint, in search
+    order, at most limit + 1, and root's static order.  maps, identity first,
+    must map root onto itself; each key kept is least among its images."""
+    if root.domains:
+        _drop_settled(root)
+    order = _static_order(root)
+    cells, found = _key_cells(root.n), []
+    tied = [(p, q, 0) for p, q, _ in maps[1:]]
+    _dfs(root, g, found, None if limit is None else limit + 1, [cells[k] for k in order], tied)
+    return found, order
+
+
 def realize_all(
     g: Graph,
     mode: str = PLAIN,
@@ -701,12 +710,12 @@ def realize_all(
 ) -> RealizationReport:
     """Enumerate all multiplication tables realizing g, canonically ordered.
 
-    Without a limit, the search finds one table per Aut(G) orbit and expands
-    the orbits; Aut(G) is computed only when the root propagation leaves a
-    cell open.  limit caps the number of labeled tables returned: the first
-    limit found in enumeration order, which is deterministic.  The report is
-    flagged truncated exactly when some realizing table is left out, so the
-    search looks for one table more than limit.
+    One propagated root goes to _search, with Aut(G) if no limit is set and
+    the root leaves a cell open: init_state reads only G and propagate has
+    one greatest fixpoint, so Aut(G) maps the root onto itself.  limit caps
+    the tables returned at the first limit found, in a deterministic order;
+    the report is truncated exactly when a realizing table is left out, so
+    the search looks for one table more than limit.
 
     Boolean mode on a uniquely determined graph builds its one candidate,
     the join table, and checks it (_join_table), with no search: the report
@@ -728,23 +737,14 @@ def realize_all(
         return RealizationReport(mode, g.n, keys, len(keys), False)
 
     root = init_state(g, mode)
-    sols: list[MulTable] = []
-    maps = None
+    found, maps = [], ()
     if propagate(root) is None:
-        if root.domains:
-            _drop_settled(root)
-        cells, tied = [], []
         if limit is None and root.domains:
             maps = _image_maps(g)
-            order = _static_order(root)
-            every = _key_cells(g.n)
-            cells = [every[k] for k in order]
-            identity = tuple(range(g.n + 1))
-            tied = [(p, q, 0) for p, q, _ in maps if p != identity]
-        _dfs(root, g, sols, None if limit is None else limit + 1, cells, tied)
-    truncated = limit is not None and len(sols) > limit
-    keys = sorted(map(canonical_key, sols[:limit]))
-    if maps is not None:
+        found, order = _search(root, g, maps, limit)
+    truncated = limit is not None and len(found) > limit
+    keys = sorted(found[:limit])
+    if maps:
         iso, keys = len(keys), _expand_orbits(keys, maps, order)
     else:
         iso = iso_class_count(keys, g, complete=not truncated)

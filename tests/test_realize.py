@@ -15,6 +15,7 @@ from zdg.boolean_algebra import check_boolean_graph_conditions
 from zdg.errors import TooLargeError
 from zdg.graph import (
     automorphisms,
+    bits,
     connected_graphs,
     format_graph,
     from_edge_list,
@@ -24,6 +25,7 @@ from zdg.realize import (
     BOOLEAN,
     PLAIN,
     Conflict,
+    RealizationReport,
     _per_table_class_count,
     _verify_solution,
     brute_force_realize,
@@ -490,6 +492,9 @@ def test_iso_class_count_skips_automorphisms_below_two_tables(monkeypatch):
     monkeypatch.setattr(zdg.realize, "automorphisms", refuse)
     assert realize_all(families.fig1(0, 0)).iso_class_count == 1
     assert realize_all(families.m_nk(4, 3)).iso_class_count == 0
+    # the root propagation rules these out, so the group is never built
+    assert realize_all(families.fig2(5)).iso_class_count == 0
+    assert realize_all(families.fig3(5)).iso_class_count == 0
     # the root propagation closes F2^4's boolean search, so there is no
     # search to prune; a limited search and the boolean conditions (limit 1)
     # enumerate labeled tables and count one orbit without Aut(G)
@@ -500,22 +505,22 @@ def test_iso_class_count_skips_automorphisms_below_two_tables(monkeypatch):
     assert check_boolean_graph_conditions(f24, max_n=f24.n).boolean_realizable
 
 
-def _labeled_enumeration(monkeypatch, g, mode):
-    """realize_all(g, mode) searching every labeled table: with only the
-    identity for Aut(G) nothing is pruned, and each table is its own orbit."""
-    with monkeypatch.context() as m:
-        m.setattr(zdg.realize, "automorphisms", lambda h: [tuple(range(h.n))])
-        return realize_all(g, mode)
+def _labeled_enumeration(g, mode):
+    """Every labeled table realizing g, each its own orbit: _search given no
+    maps prunes nothing."""
+    root = init_state(g, mode)
+    keys = [] if propagate(root) else sorted(zdg.realize._search(root, g, (), None)[0])
+    return RealizationReport(mode, g.n, tuple(keys), len(keys), False)
 
 
 @pytest.mark.parametrize("mode", [PLAIN, BOOLEAN])
-def test_orbit_count_matches_per_table_formula(monkeypatch, connected_classes_upto_5, mode):
+def test_orbit_count_matches_per_table_formula(connected_classes_upto_5, mode):
     # the orbit search, expanded, reports exactly the labeled enumeration's
     # tables, and as many orbits as the per-table formula finds among them;
     # so does a limited search that keeps every table, whose orbits are
     # counted and checked closed under Aut(G) by iso_class_count
     for g in connected_classes_upto_5:
-        labeled = _labeled_enumeration(monkeypatch, g, mode)
+        labeled = _labeled_enumeration(g, mode)
         count = _per_table_class_count(labeled.tables, g)
         status = "multiple" if count > 1 else "unique" if count else "none"
         want = dict(labeled.to_dict(), iso_class_count=count, status=status)
@@ -551,21 +556,15 @@ def test_orbit_count_follows_the_search_cap():
 
 
 def _edit_search_output(monkeypatch, edit):
-    """Make the search apply edit to its list of tables before returning it."""
-    real = zdg.realize._dfs
-    depth = [0]
+    """Make the search apply edit to its list of keys before returning it."""
+    real = zdg.realize._search
 
     def search(*args):
-        depth[0] += 1
-        try:
-            more = real(*args)
-        finally:
-            depth[0] -= 1
-        if depth[0] == 0:
-            edit(args[2])
-        return more
+        found, order = real(*args)
+        edit(found)
+        return found, order
 
-    monkeypatch.setattr(zdg.realize, "_dfs", search)
+    monkeypatch.setattr(zdg.realize, "_search", search)
 
 
 # on K2 the tables with squares (1*1, 2*2) = (0, 1) and (2, 0) form one orbit
@@ -580,10 +579,8 @@ def test_orbit_expansion_catches_a_repeated_representative(monkeypatch):
 
 
 def test_orbit_expansion_catches_a_representative_not_least(monkeypatch):
-    image = table_from_rows([[0, 0, 0], [0, 2, 0], [0, 0, 0]])
-
     def trade(out):
-        out[:] = [image if (t.prod[1][1], t.prod[2][2]) == (0, 1) else t for t in out]
+        out[:] = [(2, 0, 0) if key == (0, 0, 1) else key for key in out]
 
     _edit_search_output(monkeypatch, trade)
     with pytest.raises(AssertionError, match="not the least key of its orbit"):
@@ -599,16 +596,51 @@ def test_orbit_expansion_compares_in_the_search_order(monkeypatch):
     assert propagate(root) is None
     order = zdg.realize._static_order(root)
     assert order != sorted(order)
-    key_least = table_from_rows([[0, 0, 0, 0], [0, 1, 0, 3], [0, 0, 0, 0], [0, 3, 0, 1]])
-
     def trade(out):
-        found = [t for t in out if canonical_key(t) == (3, 0, 1, 0, 0, 3)]
-        assert len(found) == 1
-        out[out.index(found[0])] = key_least
+        assert out.count((3, 0, 1, 0, 0, 3)) == 1
+        out[out.index((3, 0, 1, 0, 0, 3))] = (1, 0, 3, 0, 0, 1)
 
     _edit_search_output(monkeypatch, trade)
     with pytest.raises(AssertionError, match="not the least key of its orbit"):
         realize_all(_P3)
+
+
+@pytest.mark.parametrize(
+    "g, mode",
+    [
+        (_P3, PLAIN),
+        (families.complete_bipartite(2, 3), PLAIN),
+        (families.complete(5), PLAIN),
+        (families.complete_bipartite(3, 3), BOOLEAN),
+    ],
+    ids=["P3", "K2,3", "K5", "boolean K3,3"],
+)
+def test_a_pinned_root_searches_the_tables_holding_its_pin(g, mode):
+    # the first open cell of the static order, pinned at the root to each
+    # of its candidates: with no maps the search finds exactly the labeled
+    # tables holding that value, and breaking the automorphisms that fix
+    # the cell and the value, representatives whose orbits are those tables
+    every = realize_all(g, mode).keys
+    root = init_state(g, mode)
+    assert propagate(root) is None
+    maps = zdg.realize._image_maps(g)
+    k = zdg.realize._static_order(root)[0]
+    i, j = zdg.realize._key_cells(g.n)[k]
+    pruned = 0
+    for v in bits(root.domains[i, j]):
+        want = [key for key in every if key[k] == v]
+        pinned = root.copy()
+        pinned.assign(i, j, v)
+        if propagate(pinned) is not None:
+            assert want == [], v
+            continue
+        found, _ = zdg.realize._search(pinned.copy(), g, (), None)
+        assert sorted(found) == want, v
+        stabilizer = [m for m in maps if {m[0][i], m[0][j]} == {i, j} and m[0][v] == v]
+        reps, order = zdg.realize._search(pinned, g, stabilizer, None)
+        assert zdg.realize._expand_orbits(sorted(reps), stabilizer, order) == want, v
+        pruned += len(reps) < len(want)
+    assert pruned
 
 
 @pytest.mark.parametrize(
