@@ -13,7 +13,8 @@ and B then A in odd ones, so a slow stretch of a shared host falls on both.
 Each request is timed at its fastest over the rounds, as perfbench/run.py
 times it.  Prints, per tree, the sum of those fastest times and the hardest
 request; then B's sum over A's, and whether every request printed the same
-exit code and output on both trees.
+exit code and output on both trees; then, one line per request, its fastest
+time on each tree and B's over A's.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ def main(argv=None) -> int:
     same = "yes" if outputs[0] == outputs[1] else "no"
     print(f"{args.workload}: {len(requests)} requests, {args.rounds} rounds; "
           f"B/A {total[1] / total[0]:.3f}; outputs identical: {same}")
+    for req, a, b in zip(requests, *fastest):
+        print(f"{req.instance}: A {a * 1e3:.3f} ms, B {b * 1e3:.3f} ms, B/A {b / a:.3f}")
     return 0
 
 

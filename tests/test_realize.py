@@ -98,6 +98,61 @@ def test_propagation_conflict_witnessed_by_oracle():
     assert not any(t.prod[2][2] == 2 and t.prod[1][3] == 2 for t in tables)
 
 
+def _naive_domains(g, mode):
+    """The annihilator rule read off its definition, one v at a time: v is a
+    candidate for the non-edge cell (x, y) iff N(x) | N(y) lies in
+    N(v) | {v}, and in boolean mode v is outside N(x) | N(y)."""
+    n = g.n
+    adj = (0,) + tuple(m << 1 for m in g.adj)
+    domains = {}
+    for x in range(1, n + 1):
+        for y in range(x, n + 1):
+            if x != y and (adj[x] >> y) & 1:
+                continue
+            union = adj[x] | adj[y]
+            mask = 0
+            for v in range(1, n + 1):
+                if union & ~adj[v] & ~(1 << v):
+                    continue
+                if mode == BOOLEAN and (union >> v) & 1:
+                    continue
+                mask |= 1 << v
+            if x == y:
+                if n == 1:
+                    mask = 0 if mode == BOOLEAN else 1
+                elif mode == BOOLEAN:
+                    mask = 1 << x
+                else:
+                    mask |= 1
+            domains[(x, y)] = mask
+    return domains
+
+
+@pytest.mark.parametrize("mode", [PLAIN, BOOLEAN])
+def test_candidates_follow_the_annihilator_rule(mode):
+    # the neighbourhood meets give exactly the candidates of the rule's
+    # definition, on every labeled connected graph up to 5 vertices and on
+    # the bit-vector graphs
+    graphs = [g for n in range(1, 6) for g in connected_graphs(n)]
+    graphs += [_f2k_graph(k) for k in range(2, 6)]
+    for g in graphs:
+        assert init_state(g, mode).domains == _naive_domains(g, mode), g.edges()
+
+
+@pytest.mark.parametrize("mode, with_dead_cell", [(PLAIN, 0), (BOOLEAN, 12)])
+def test_a_cell_without_candidates_has_no_realization(mode, with_dead_cell):
+    # wherever init_state empties a non-edge cell, the brute-force oracle,
+    # which shares no search code, finds no table either; up to 4 vertices
+    # only boolean mode has such a graph
+    dead = 0
+    for g in (g for n in range(1, 5) for g in connected_graphs(n)):
+        domains = init_state(g, mode).domains
+        if any(not m for (x, y), m in domains.items() if x != y):
+            dead += 1
+            assert brute_force_realize(g, mode).labeled_count == 0, g.edges()
+    assert dead == with_dead_cell
+
+
 def test_fixpoint_on_complete_assignment(fixture_tables):
     t = fixture_tables[1]
     g = zero_divisor_graph(t)

@@ -80,6 +80,7 @@ def test_ab_compare_runs_one_round(monkeypatch, capsys):
     assert "hardest realize " in lines[0]
     assert re.fullmatch(r"realize: \d+ requests, 1 rounds; B/A [\d.]+; outputs identical: yes",
                         lines[2]), lines
+    assert re.fullmatch(r"realize complete 5: A [\d.]+ ms, B [\d.]+ ms, B/A [\d.]+", lines[3]), lines
 
 
 def test_output_digest_prints_one_line(monkeypatch, capsys):
