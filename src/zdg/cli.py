@@ -128,7 +128,7 @@ def _report_json(report: RZ.RealizationReport) -> str:
         for k in ("mode", "n", "labeled_count", "iso_class_count", "status", "truncated")
     )
     form = _table_format(report.n)
-    tables = ",\n    ".join([form % key for key in report.keys])
+    tables = ",\n    ".join([form % tuple(key) for key in report.keys])
     listing = f"[\n    {tables}\n  ]" if tables else "[]"
     return f'{{\n{head}  "tables": {listing}\n}}\n'
 

@@ -9,20 +9,23 @@ The constraint system on the (n+1) x (n+1) symmetric table:
   * diagonal entries are free (boolean mode pins x*x = x);
   * the whole table is associative.
 
-init_state filters every cell's candidates by the annihilator rule, once,
-as the meet of two neighbourhood masks.  Backtracking with constraint
+candidate_masks filters every cell's candidates by the annihilator rule,
+once, as the meet of two neighbourhood masks.  Backtracking with constraint
 propagation does the real work.  Below the root, propagation checks only
 the equations the root left open: the cells the root decided never change,
 so an equation they settle cannot fire again.
-Each complete table is checked again at the leaf against the definitions in
-zdg.semigroup (associativity, the zero-divisor graph, idempotence), not
-against the search's own constraints.  A naive brute-force enumerator over
-all symmetric tables (n <= 4) serves as an independent oracle.
+Each complete table is checked again at the leaf against the definitions,
+not against the search's own constraints: the leaf check (_leaf_check)
+reads the rows the search holds as bytes, one byte per element id,
+compares the zero products with the graph and, in boolean mode, the
+diagonal with the identity, and decides associativity with zdg.semigroup's
+kernel.  A naive brute-force enumerator over all symmetric tables (n <= 4)
+serves as an independent oracle.
 
 Boolean mode on a uniquely determined graph, one with no two vertices
 sharing a neighborhood, does not search: g alone fixes the only candidate
 table, the join table (see _join_table), which takes each product from
-init_state's candidates, and the leaf check decides it.
+candidate_masks, and the leaf check decides it.
 
 Aut(G) maps realizations of G onto realizations of G, so a complete
 enumeration searches one table per orbit: the least among its images when
@@ -37,12 +40,16 @@ limit, so the first tables do not depend on Aut(G)), or the stabilizer of
 pinned cells.  _orbits walks the orbits for the expansion and a limited
 search's orbit count.  A report stores its keys, orbit count and truncation
 flag; its labeled count and status are read off those.
+
+A canonical key is bytes, one byte per cell, from the leaf to the report:
+element ids fit in a byte, so realize_all refuses more than MAX_VERTICES
+vertices, and bytes hash, compare and sort at C speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
 
@@ -51,6 +58,7 @@ from .graph import Graph, automorphisms, bits, is_connected, is_uniquely_determi
 from .semigroup import (
     MulTable,
     assoc_violation_symmetric,
+    first_assoc_violation,
     is_boolean,
     table_from_rows,
     zero_divisor_adj,
@@ -58,10 +66,17 @@ from .semigroup import (
 )
 
 DEFAULT_MAX_N = 12
+MAX_VERTICES = 255  # element ids 0..n are bytes in keys and in the leaf check
 UNKNOWN = -1
+_CHUNK = 256  # keys whose images _orbits builds together
 
 PLAIN = "plain"
 BOOLEAN = "boolean"
+
+# translate tables: 0 reads 0 and every other id 1; v reads v + 1
+_NONZERO = bytes(1) + b"\1" * 255
+_SUCC = bytes(range(1, 256)) + bytes(1)
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _check_mode(mode: str) -> str:
@@ -95,8 +110,7 @@ class SearchState:
     whose cells were filled or narrowed since the last propagation fixpoint:
     both coordinates of each such cell.  A fresh state marks every element,
     so its first propagate checks every triple; a branch assigns one cell
-    and marks its two coordinates.  _join_table picks its products by deg
-    too.
+    and marks its two coordinates.
     """
 
     n: int
@@ -127,9 +141,10 @@ class SearchState:
         self.dirty.add(j)
 
 
-def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
-    """Set up the constraint system for g: fixed zeros, initial candidate
-    sets filtered by the annihilator rule.
+def candidate_masks(g: Graph, mode: str = PLAIN) -> dict[tuple[int, int], int]:
+    """The candidates of every cell (x, y), 1 <= x <= y <= n, that is not an
+    edge, as a mask over elements, filtered by the annihilator rule; the one
+    home of that rule, read by init_state and _join_table.
 
     A candidate v for cell (x, y) must satisfy v*z = 0 for every z adjacent
     to x or y, because (xy)z = (xz)y = 0.  For z != v that needs the edge
@@ -137,7 +152,8 @@ def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
     to propagation otherwise.  So v lies in meet[x] & meet[y], meet[x] the
     meet over z in N(x) of N(z) | {z}: the v with N(x) in N(v) | {v}.  In
     boolean mode z = v is out, so meet[x] is the meet of the N(z) alone, the
-    v with N(x) in N(v).  _join_table reads these candidates too.
+    v with N(x) in N(v).  A diagonal cell also has 0 in plain mode and only
+    x in boolean mode; a dead cell (mask 0) is left for propagate to report.
     """
     mode = _check_mode(mode)
     n = g.n
@@ -149,16 +165,10 @@ def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
         for z in bits(adj[x]):
             m &= hood[z]
         meet[x] = m
-    table = [[UNKNOWN] * (n + 1) for _ in range(n + 1)]
-    for a in range(n + 1):
-        table[0][a] = 0
-        table[a][0] = 0
     domains: dict[tuple[int, int], int] = {}
     for x in range(1, n + 1):
         for y in range(x, n + 1):
             if x != y and (adj[x] >> y) & 1:
-                table[x][y] = 0
-                table[y][x] = 0
                 continue
             mask = meet[x] & meet[y]
             if x == y:
@@ -170,7 +180,18 @@ def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
                     mask = 1 << x
                 else:
                     mask |= 1
-            domains[(x, y)] = mask  # a dead cell (0) is left for propagate to report
+            domains[(x, y)] = mask
+    return domains
+
+
+def init_state(g: Graph, mode: str = PLAIN) -> SearchState:
+    """Set up the constraint system for g: row and column 0 and the edge
+    cells fixed to zero, every other cell open with its candidate_masks."""
+    domains = candidate_masks(g, mode)
+    n = g.n
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for x, y in domains:
+        table[x][y] = table[y][x] = UNKNOWN
     deg = (0,) + tuple(g.degree(v) for v in range(n))
     every = range(1, n + 1)
     live = ((),) + (tuple((y, every) for y in every),) * n
@@ -321,8 +342,9 @@ class RealizationReport:
     tables, in order, plus the orbit count and the truncation flag; the
     labeled count and the status follow from those.
 
-    keys is what the report stores; tables, the validated MulTables with
-    those keys in the same order, is built on first read and kept.
+    keys is what the report stores, each a bytes object (see
+    canonical_key); tables, the validated MulTables with those keys in the
+    same order, is built on first read and kept.
     iso_class_count counts orbits of the listed tables under the action of
     Aut(G): the representatives the orbit search found, or for a limited
     search the orbits its tables meet.  truncated reports that the
@@ -331,7 +353,7 @@ class RealizationReport:
 
     mode: str
     n: int
-    keys: tuple[tuple[int, ...], ...]
+    keys: tuple[bytes, ...]
     iso_class_count: int
     truncated: bool
 
@@ -374,9 +396,11 @@ def _key_cells(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
-def canonical_key(t: MulTable) -> tuple[int, ...]:
-    """Lexicographic key: the upper triangle read row by row."""
-    return tuple(t.prod[i][j] for i in t.nonzero() for j in range(i, t.n + 1))
+def canonical_key(t: MulTable) -> bytes:
+    """Lexicographic key: the upper triangle read row by row, one byte per
+    cell, so t.n must be at most MAX_VERTICES.  Keys of one size sort as
+    the tuples of their entries would."""
+    return bytes([t.prod[i][j] for i in t.nonzero() for j in range(i, t.n + 1)])
 
 
 def apply_automorphism(t: MulTable, perm: tuple[int, ...]) -> MulTable:
@@ -400,11 +424,11 @@ def _getter(positions):
 
 
 def _image_maps(g: Graph) -> list[tuple]:
-    """Per automorphism of g, the triple (p, q, get): the element map p, its
-    inverse q, and an itemgetter that moves each cell of a key to its cell
-    in the image.  The image of table t under p reads p[t[q[i]][q[j]]] at
-    cell (i, j), so the image of a key is get applied to the key's entries
-    mapped by p, two C calls (see _orbits).
+    """Per automorphism of g, the triple (p, q, get): the element map p, as
+    a 256-byte translate table, its inverse q, and an itemgetter that moves
+    each cell of a key to its cell in the image.  The image of table t under
+    p reads p[t[q[i]][q[j]]] at cell (i, j), so the image of a key is get
+    applied to the key translated by p (see _orbits).
 
     AssertionError for a permutation that does not map g onto itself."""
     n = g.n
@@ -418,10 +442,8 @@ def _image_maps(g: Graph) -> list[tuple]:
     for a in automorphisms(g):
         if sorted(a) != vertices:
             raise AssertionError(f"{a} is not a permutation of the vertices")
-        p = (0,) + tuple(v + 1 for v in a)
-        q = [0] * (n + 1)
-        for e in range(n + 1):
-            q[p[e]] = e
+        p = (b"\0" + bytes(a).translate(_SUCC)).ljust(256, b"\0")
+        q = sorted(range(n + 1), key=p.__getitem__)
         get = _getter([pos[q[i]][q[j]] for i, j in cells])
         if get(edge) != edge:
             raise AssertionError(f"{a} does not map the graph onto itself")
@@ -429,25 +451,34 @@ def _image_maps(g: Graph) -> list[tuple]:
     return maps
 
 
-def _orbits(keys, maps) -> tuple[list[set[tuple[int, ...]]], set[tuple[int, ...]]]:
+def _orbits(keys, maps) -> tuple[list[set[bytes]], set[bytes]]:
     """The Aut(G) orbits the keys meet, in the order they are met, and their
     union: walking the keys in order, a key no earlier orbit holds opens a
     new orbit, the set of the keys of its images under maps (see
-    _image_maps).  So Aut(G) is applied once per orbit, not once per table,
-    and each image is get(read(p)), with read, the key's entries, built
-    once per orbit.
+    _image_maps).  So Aut(G) is applied once per orbit, not once per table.
+
+    The keys go through in chunks of _CHUNK, each laid out column by
+    column: cols[k] holds cell k of every key of the chunk.  A map moves
+    whole columns and relabels every entry alike, so one join and one
+    translate give its images of the whole chunk, and the image of the i-th
+    key is every width-th byte from i, one slice taken only for a key that
+    opens an orbit.
 
     The images need no MulTable of their own: each entry is p[e], with p a
     permutation _image_maps checked, so every entry of an image of a
     validated table is in range by construction."""
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     orbits = []
-    for key in keys:
-        if key not in seen:
-            read = _getter(key)
-            orbit = {get(read(p)) for p, _, get in maps}
-            seen |= orbit
-            orbits.append(orbit)
+    for start in range(0, len(keys), _CHUNK):
+        chunk = keys[start:start + _CHUNK]
+        width = len(chunk)
+        cols = [bytes(col) for col in zip(*chunk)]
+        images = [b"".join(get(cols)).translate(p) for p, _, get in maps]
+        for i, key in enumerate(chunk):
+            if key not in seen:
+                orbit = {image[i::width] for image in images}
+                seen |= orbit
+                orbits.append(orbit)
     return orbits, seen
 
 
@@ -468,7 +499,8 @@ def iso_class_count(keys, g: Graph, complete: bool = False) -> int:
     if complete:
         missed = union.difference(keys)
         if missed:
-            raise AssertionError(f"search missed {min(missed)}, an Aut(G) image of its tables")
+            raise AssertionError(
+                f"search missed {tuple(min(missed))}, an Aut(G) image of its tables")
         total = sum(map(len, orbits))
         if total != len(keys):
             raise AssertionError(
@@ -506,53 +538,100 @@ def _table_violation(t: MulTable, g: Graph, mode: str) -> str | None:
     return None
 
 
-def _verify_solution(state: SearchState, g: Graph) -> MulTable:
-    """The search's complete table, checked by _table_violation
-    independently of the propagation that built it; AssertionError if it
-    fails."""
-    t = table_from_rows(state.table)
-    bad = _table_violation(t, g, state.mode)
-    if bad is not None:
-        raise AssertionError(f"search produced {bad}")
-    return t
+def _leaf_check(g: Graph, mode: str):
+    """The leaf check of one search on g in mode: check(T), for a complete
+    table T given as rows of element ids 0..n, returns T's canonical key if
+    T realizes g in mode, else None.
+
+    It decides what check_axioms, zero_divisor_adj and is_boolean do, on the
+    rows as bytes and with no MulTable: T's upper triangle, the key, equals
+    its lower one; x*y = 0 exactly on the edges of g for distinct x, y, and
+    on row and column 0; x*x = 0 for each x with no neighbour, its only zero
+    product (in a connected graph, the lone vertex of n = 1); in boolean
+    mode the identity on the diagonal; then assoc_violation_symmetric, which
+    on such a table decides associativity.  G's zero pattern and the
+    triangles' getters are built here, once per search."""
+    n = g.n
+    w = n + 1
+    top = 1 << w  # bin(m | top)[:2:-1] spells a mask m over 0..n in w bits, lowest first
+    every = top - 2  # elements 1..n
+    # want[x*w + y] is 1 where x*y must be nonzero: distinct non-adjacent x, y
+    masks = [0] + [every & ~(a << 1) & ~(1 << x) for x, a in enumerate(g.adj, 1)]
+    want = "".join([bin(m | top)[:2:-1] for m in masks]).encode().translate(_BITS)
+    lonely = [x * (w + 1) for x, a in enumerate(g.adj, 1) if not a]  # their squares in flat
+    blank, ident = bytes(w), bytes(range(w))
+    boolean = mode == BOOLEAN
+    upper = _getter([i * w + j for i in range(1, w) for j in range(i, w)])
+    lower = _getter([j * w + i for i in range(1, w) for j in range(i, w)])
+
+    def check(T) -> bytes | None:
+        rows = list(map(bytes, T))
+        flat = b"".join(rows)
+        key = upper(flat)
+        if key != lower(flat):
+            return None
+        seen = bytearray(flat.translate(_NONZERO))
+        seen[::w + 1] = blank  # the diagonal is checked apart
+        if seen != want or any(map(flat.__getitem__, lonely)):
+            return None
+        if boolean and flat[::w + 1] != ident:
+            return None
+        if assoc_violation_symmetric(rows) is not None:
+            return None
+        return bytes(key)
+
+    return check
 
 
-def _join_table(g: Graph) -> MulTable | None:
-    """The boolean realization of the uniquely determined graph g, or None
-    if it has none.
+def _verify_solution(state: SearchState, g: Graph, check) -> bytes:
+    """The key of the search's complete table, checked by check, the
+    search's _leaf_check, independently of the propagation that built it;
+    AssertionError if it fails, with _table_violation's account."""
+    key = check(state.table)
+    if key is None:
+        bad = _table_violation(table_from_rows(state.table), g, state.mode)
+        raise AssertionError(f"search produced {bad or 'a table the leaf check refused'}")
+    return key
+
+
+def _join_table(g: Graph) -> bytes | None:
+    """The canonical key of the boolean realization of the uniquely
+    determined graph g, or None if it has none.
 
     The join table has xx = x, xy = 0 on an edge, and otherwise xy = the
     vertex whose neighborhood is the least one containing N(x) | N(y).
-    Where there is no such vertex, or the table fails _table_violation, g
-    has no boolean realization.  Why: an idempotent commutative table S
-    realizing g is a semilattice, z <= w meaning zw = z.  Since xy <= x, y,
-    every z with xz = 0 or yz = 0 has (xy)z = 0, so N(x) | N(y) lies in
-    N(xy).  For any vertex z with N(x) | N(y) in N(z), Cor 3.3 (N(a) in
-    N(b) forces ab = b) gives xz = yz = z.  Then (xy)z = z, so z <= xy, and
-    every w with (xy)w = 0 has zw = z(xy)w = 0: N(xy) lies in N(z).  So
-    N(xy) is the least neighborhood containing N(x) | N(y), and in a
-    uniquely determined graph a single vertex has it.  S is therefore the
-    join table, and a join table that fails the check rules out every
-    boolean realization.
+    Where there is no such vertex, or the table fails the leaf check
+    (_leaf_check), g has no boolean realization.  Why: an idempotent
+    commutative table S realizing g is a semilattice, z <= w meaning zw = z.
+    Since xy <= x, y, every z with xz = 0 or yz = 0 has (xy)z = 0, so
+    N(x) | N(y) lies in N(xy).  For any vertex z with N(x) | N(y) in N(z),
+    Cor 3.3 (N(a) in N(b) forces ab = b) gives xz = yz = z.  Then (xy)z = z,
+    so z <= xy, and every w with (xy)w = 0 has zw = z(xy)w = 0: N(xy) lies
+    in N(z).  So N(xy) is the least neighborhood containing N(x) | N(y),
+    and in a uniquely determined graph a single vertex has it.  S is
+    therefore the join table, and a join table that fails the check rules
+    out every boolean realization.
 
     The vertices whose neighborhood contains N(x) | N(y) are the candidates
-    init_state(g, BOOLEAN) leaves for cell (x, y).  In a uniquely determined
-    graph a smaller neighborhood has a smaller degree, so the least
+    candidate_masks(g, BOOLEAN) leaves for cell (x, y).  In a uniquely
+    determined graph a smaller neighborhood has a smaller degree, so the least
     neighborhood among them, if there is one, is the candidate of least
     degree, and each cell takes that candidate, the least such id on a tie.
     Where there is no least, that table is no boolean realization, by the
     argument above, and the check rejects it.
     """
-    root = init_state(g, BOOLEAN)
-    rows = root.table
+    n = g.n
+    domains = candidate_masks(g, BOOLEAN)
+    cands = set(domains.values())
+    if 0 in cands:
+        return None
+    deg = (0,) + tuple(g.degree(v) for v in range(n))
     # one pick per distinct candidate set: on Gamma(F_2^8), 492 sets over 29,360 cells
-    pick = cache(lambda cand: min(bits(cand), key=root.deg.__getitem__))
-    for (x, y), cand in root.domains.items():
-        if not cand:
-            return None
-        rows[x][y] = rows[y][x] = pick(cand)
-    t = table_from_rows(rows)
-    return None if _table_violation(t, g, BOOLEAN) else t
+    pick = {cand: min(bits(cand), key=deg.__getitem__) for cand in cands}
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for (x, y), cand in domains.items():
+        rows[x][y] = rows[y][x] = pick[cand]
+    return _leaf_check(g, BOOLEAN)(rows)
 
 
 def _static_order(root: SearchState) -> list[int]:
@@ -602,10 +681,11 @@ def _least_so_far(T: list[list[int]], cells: list, tied: list) -> list | None:
 
 
 def _dfs(
-    state: SearchState, g: Graph, out: list[tuple[int, ...]], cap: int | None,
+    state: SearchState, g: Graph, check, out: list[bytes], cap: int | None,
     cells: list, tied: list,
 ) -> bool:
-    """Collect the keys of solutions depth first; False once cap is reached.
+    """Collect the keys of solutions depth first, each checked by check, the
+    search's _leaf_check; False once cap is reached.
 
     cells is the static order and tied the images still compared with the
     table in it, one (p, q, k) per map but the identity, p with inverse q
@@ -628,7 +708,7 @@ def _dfs(
     else:
         cell = _pick_cell(state)
     if cell is None:
-        out.append(canonical_key(_verify_solution(state, g)))
+        out.append(_verify_solution(state, g, check))
         return cap is None or len(out) < cap
     i, j = cell
     for v in bits(state.domains[cell]):
@@ -641,7 +721,7 @@ def _dfs(
                 continue
         child = state.copy()
         child.assign(i, j, v)
-        if propagate(child) is None and not _dfs(child, g, out, cap, cells, below):
+        if propagate(child) is None and not _dfs(child, g, check, out, cap, cells, below):
             return False
     return True
 
@@ -652,10 +732,10 @@ def _tables_from_keys(keys, n: int) -> tuple[MulTable, ...]:
     for k, (i, j) in enumerate(_key_cells(n), 1):
         at[i][j] = at[j][i] = k
     rows = [itemgetter(*row) for row in at]
-    return tuple(MulTable(n, tuple([row((0,) + key) for row in rows])) for key in keys)
+    return tuple(MulTable(n, tuple([row(b"\0" + key) for row in rows])) for key in keys)
 
 
-def _expand_orbits(reps, maps, order: list[int]) -> list[tuple[int, ...]]:
+def _expand_orbits(reps, maps, order: list[int]) -> list[bytes]:
     """The sorted keys of every image under maps of the representatives, given
     as sorted canonical keys of validated tables.
 
@@ -673,20 +753,22 @@ def _expand_orbits(reps, maps, order: list[int]) -> list[tuple[int, ...]]:
     rank = itemgetter(*order)
     for key, orbit in zip(reps, orbits):
         if min(orbit, key=rank) != key:
-            raise AssertionError(f"table {key} is not the least key of its orbit")
+            raise AssertionError(f"table {tuple(key)} is not the least key of its orbit")
     return sorted(keys)
 
 
 def _search(root: SearchState, g: Graph, maps, limit: int | None) -> tuple[list, list[int]]:
     """The keys below root, a conflict-free propagation fixpoint, in search
     order, at most limit + 1, and root's static order.  maps, identity first,
-    must map root onto itself; each key kept is least among its images."""
+    must map root onto itself; each key kept is least among its images.
+    The leaf check is built here, once per search."""
     if root.domains:
         _drop_settled(root)
     order = _static_order(root)
     cells, found = _key_cells(root.n), []
     tied = [(p, q, 0) for p, q, _ in maps[1:]]
-    _dfs(root, g, found, None if limit is None else limit + 1, [cells[k] for k in order], tied)
+    _dfs(root, g, _leaf_check(g, root.mode), found, None if limit is None else limit + 1,
+         [cells[k] for k in order], tied)
     return found, order
 
 
@@ -709,19 +791,23 @@ def realize_all(
     the join table, and checks it (_join_table), with no search: the report
     holds that table or none, with its orbit count and never truncated,
     whatever the limit.
+
+    More than max_n vertices, or than MAX_VERTICES whatever max_n, raise
+    TooLargeError.
     """
     mode = _check_mode(mode)
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    if g.n > max_n:
-        raise TooLargeError(f"realization search capped at {max_n} vertices")
+    cap = min(max_n, MAX_VERTICES)
+    if g.n > cap:
+        raise TooLargeError(f"realization search capped at {cap} vertices")
     if not is_connected(g):
         raise ValueError("graph must be connected")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     if mode == BOOLEAN and is_uniquely_determined(g):
-        t = _join_table(g)
-        keys = () if t is None else (canonical_key(t),)
+        key = _join_table(g)
+        keys = () if key is None else (key,)
         return RealizationReport(mode, g.n, keys, len(keys), False)
 
     root = init_state(g, mode)
@@ -778,7 +864,7 @@ def brute_force_realize(g: Graph, mode: str = PLAIN) -> RealizationReport:
             for (x, y), v in zip(cells, stack):
                 rows[x][y] = v
                 rows[y][x] = v
-            if assoc_violation_symmetric(rows) is not None:
+            if first_assoc_violation(rows) is not None:
                 return
             t = table_from_rows(rows)
             # exact graph match, including the zero-divisor requirement

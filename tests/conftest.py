@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from zdg import families, theorems
 from zdg.graph import Graph, bits, connected_graphs, from_edge_list, is_isomorphic
@@ -221,6 +222,20 @@ def labeled_graphs(max_n: int) -> list[Graph]:
             edges = [p for i, p in enumerate(pairs) if (mask >> i) & 1]
             out.append(from_edge_list(n, edges))
     return out
+
+
+@st.composite
+def symmetric_tables(draw, max_n=4):
+    """Arbitrary symmetric tables with absorbing zero; not necessarily
+    associative."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            v = draw(st.integers(min_value=0, max_value=n))
+            rows[i][j] = v
+            rows[j][i] = v
+    return table_from_rows(rows)
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,9 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
 
-from conftest import boolean_rpartite_table
+from conftest import boolean_rpartite_table, symmetric_tables
 
 import zdg.graph
 import zdg.realize
@@ -14,6 +15,7 @@ from zdg import cli, families
 from zdg.boolean_algebra import check_boolean_graph_conditions
 from zdg.errors import TooLargeError
 from zdg.graph import (
+    Graph,
     automorphisms,
     bits,
     connected_graphs,
@@ -26,6 +28,7 @@ from zdg.realize import (
     PLAIN,
     Conflict,
     RealizationReport,
+    _leaf_check,
     _per_table_class_count,
     _verify_solution,
     brute_force_realize,
@@ -35,7 +38,13 @@ from zdg.realize import (
     propagate,
     realize_all,
 )
-from zdg.semigroup import check_axioms, table_from_rows, zero_divisor_graph
+from zdg.semigroup import (
+    check_axioms,
+    is_boolean,
+    table_from_rows,
+    zero_divisor_adj,
+    zero_divisor_graph,
+)
 
 
 def test_base_graph_unique_and_equals_fixture(fixture_tables):
@@ -296,7 +305,7 @@ _PINNED = {
 def test_search_output_pinned(name):
     graph, mode = _SEARCHES[name]
     rep = realize_all(graph, mode)
-    keys = sorted(canonical_key(t) for t in rep.tables)
+    keys = sorted(map(tuple, map(canonical_key, rep.tables)))
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert (rep.labeled_count, rep.iso_class_count, digest) == _PINNED[name]
 
@@ -360,9 +369,9 @@ def test_orbit_search_prunes_before_propagating(monkeypatch, name):
 @pytest.mark.parametrize(
     "g, key, orbit",
     [
-        (from_edge_list(1, []), (0,), {(0,)}),
+        (from_edge_list(1, []), b"\0", {b"\0"}),
         # the swap maps squares (1*1, 2*2) = (0, 1) to (2, 0)
-        (from_edge_list(2, [(0, 1)]), (0, 0, 1), {(0, 0, 1), (2, 0, 0)}),
+        (from_edge_list(2, [(0, 1)]), b"\0\0\1", {b"\0\0\1", b"\2\0\0"}),
     ],
     ids=["K1", "K2"],
 )
@@ -370,7 +379,7 @@ def test_image_maps_give_tuple_images(g, key, orbit):
     # K1's key has a single cell, where a bare itemgetter returns a value
     maps = zdg.realize._image_maps(g)
     assert len(maps) == len(automorphisms(g))
-    assert {get(tuple(p[e] for e in key)) for p, _, get in maps} == orbit
+    assert {bytes(get(key.translate(p))) for p, _, get in maps} == orbit
     assert zdg.realize._orbits([key], maps) == ([orbit], orbit)
 
 
@@ -451,7 +460,86 @@ _K2 = from_edge_list(2, [(0, 1)])
 )
 def test_leaf_check_rejects_bad_tables(g, mode, rows, match):
     with pytest.raises(AssertionError, match=match):
-        _verify_solution(_complete_state(g, mode, rows), g)
+        _verify_solution(_complete_state(g, mode, rows), g, _leaf_check(g, mode))
+
+
+def _leaf_by_definition(t, g, mode):
+    """The leaf check's answer read off the definitions: t's key if t passes
+    check_axioms, its zero-divisor graph is g and, in boolean mode, it is
+    boolean; else None."""
+    if check_axioms(t):
+        return None
+    try:
+        adj = zero_divisor_adj(t)
+    except ValueError:
+        return None
+    if adj != g.adj or mode == BOOLEAN and not is_boolean(t):
+        return None
+    return canonical_key(t)
+
+
+def _zero_graph(t):
+    """The graph of t's zero products between distinct nonzero elements."""
+    nonzero = range(1, t.n + 1)
+    adj = [sum(1 << (y - 1) for y in nonzero if y != x and t.prod[x][y] == 0) for x in nonzero]
+    return Graph(t.n, tuple(adj))
+
+
+@given(symmetric_tables())
+def test_leaf_check_matches_the_definitions(t):
+    # against the graph of t's own zero products, which may leave a vertex
+    # without a neighbour, and against the path, in both modes
+    for g in (_zero_graph(t), from_edge_list(t.n, [(v, v + 1) for v in range(t.n - 1)])):
+        for mode in (PLAIN, BOOLEAN):
+            assert _leaf_check(g, mode)(t.prod) == _leaf_by_definition(t, g, mode)
+
+
+def _perturbed(t, rng, symmetric):
+    """t with one product changed, on both sides of the diagonal or one."""
+    rows = [list(row) for row in t.prod]
+    i, j = rng.randint(1, t.n), rng.randint(1, t.n)
+    rows[i][j] = rng.choice([v for v in t.elements() if v != rows[i][j]])
+    if symmetric:
+        rows[j][i] = rows[i][j]
+    return table_from_rows(rows)
+
+
+def test_leaf_check_matches_the_definitions_on_perturbed_tables():
+    # every K2,4 table with one product changed, every seventh on one side
+    # only, the 30-element join table of Gamma(F_2^5) with ten changed, and
+    # each table on one element, with 0*1 = 1 on one side in the last
+    rng = random.Random(0)
+    k1 = from_edge_list(1, [])
+    k24 = families.complete_bipartite(2, 4)
+    f25 = _f2k_graph(5)
+    cases = [(k24, _perturbed(t, rng, k % 7)) for k, t in enumerate(realize_all(k24).tables)]
+    join = realize_all(f25, BOOLEAN, max_n=30).tables[0]
+    cases += [(f25, join)] + [(f25, _perturbed(join, rng, k % 7)) for k in range(10)]
+    cases += [(k1, table_from_rows(rows)) for rows in
+              ([[0, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]])]
+    verdicts = {PLAIN: 0, BOOLEAN: 0}
+    for mode in (PLAIN, BOOLEAN):
+        checks = {g: _leaf_check(g, mode) for g in (k1, k24, f25)}
+        for g, t in cases:
+            want = _leaf_by_definition(t, g, mode)
+            assert checks[g](t.prod) == want, (mode, t.prod)
+            verdicts[mode] += want is not None
+    # some changed K2,4 products still realize it, in each mode
+    assert verdicts[PLAIN] > verdicts[BOOLEAN] > 1, verdicts
+
+
+def test_realize_refuses_element_ids_past_a_byte(tmp_path, capsys):
+    # a key holds one byte per product, so 255 vertices is the most any
+    # max_n admits
+    path_256 = from_edge_list(256, [(v, v + 1) for v in range(255)])
+    for mode in (PLAIN, BOOLEAN):
+        with pytest.raises(TooLargeError, match="capped at 255 vertices"):
+            realize_all(path_256, mode, max_n=300)
+    path = tmp_path / "p256.zdg-graph"
+    path.write_text(format_graph(path_256))
+    for command in ("realize", "boolean-ring"):
+        assert cli.main([command, str(path), "--max-n", "300"]) == 2
+        assert capsys.readouterr().err == "error: realization search capped at 255 vertices\n"
 
 
 def test_soundness_and_fixture_completeness(fixture_tables):
@@ -635,7 +723,7 @@ def test_orbit_expansion_catches_a_repeated_representative(monkeypatch):
 
 def test_orbit_expansion_catches_a_representative_not_least(monkeypatch):
     def trade(out):
-        out[:] = [(2, 0, 0) if key == (0, 0, 1) else key for key in out]
+        out[:] = [b"\2\0\0" if key == b"\0\0\1" else key for key in out]
 
     _edit_search_output(monkeypatch, trade)
     with pytest.raises(AssertionError, match="not the least key of its orbit"):
@@ -652,8 +740,8 @@ def test_orbit_expansion_compares_in_the_search_order(monkeypatch):
     order = zdg.realize._static_order(root)
     assert order != sorted(order)
     def trade(out):
-        assert out.count((3, 0, 1, 0, 0, 3)) == 1
-        out[out.index((3, 0, 1, 0, 0, 3))] = (1, 0, 3, 0, 0, 1)
+        assert out.count(b"\3\0\1\0\0\3") == 1
+        out[out.index(b"\3\0\1\0\0\3")] = b"\1\0\3\0\0\1"
 
     _edit_search_output(monkeypatch, trade)
     with pytest.raises(AssertionError, match="not the least key of its orbit"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import boolean_rpartite_table, table_facts
+from conftest import boolean_rpartite_table, symmetric_tables, table_facts
 
 from zdg import families
 from zdg.graph import diameter, is_connected, is_uniquely_determined
@@ -13,8 +13,10 @@ from zdg.semigroup import (
     assoc_violation_symmetric,
     check_axioms,
     closure_witness,
+    first_assoc_violation,
     ideal_witness,
     is_boolean,
+    is_commutative_semigroup,
     is_nilpotent,
     is_reduced,
     nilpotent_witness,
@@ -29,17 +31,12 @@ A1, A2, A3, X1, X2 = 1, 2, 3, 4, 5
 
 
 @st.composite
-def symmetric_tables(draw, max_n=4):
-    """Arbitrary symmetric tables with absorbing zero; not necessarily
-    associative."""
+def any_tables(draw, max_n=3):
+    """Arbitrary tables on 0..n: not necessarily symmetric, with a zero row
+    or associative."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            v = draw(st.integers(min_value=0, max_value=n))
-            rows[i][j] = v
-            rows[j][i] = v
-    return table_from_rows(rows)
+    entry = st.integers(min_value=0, max_value=n)
+    return table_from_rows([[draw(entry) for _ in range(n + 1)] for _ in range(n + 1)])
 
 
 def test_fixture_tables_pass_axioms(fixture_tables):
@@ -214,3 +211,46 @@ def test_fast_associativity_matches_report(t):
     fast = assoc_violation_symmetric(t.prod) is None
     slow = not any(v.kind == "associativity" for v in check_axioms(t))
     assert fast == slow
+    # the kernel refuses exactly the tables the scan finds a triple in
+    assert assoc_violation_symmetric(t.prod) == first_assoc_violation(t.prod)
+
+
+def _rows(t):
+    return [bytes(row) for row in t.prod]
+
+
+@given(st.one_of(symmetric_tables(), any_tables()))
+def test_semigroup_kernel_decides_check_axioms(t):
+    assert is_commutative_semigroup(_rows(t)) == (not check_axioms(t))
+
+
+def test_semigroup_kernel_on_fixtures_and_their_perturbations(fixture_tables):
+    # each fixture passes; changing one product, on one side or on both,
+    # passes exactly when check_axioms finds nothing
+    passed = 0
+    for t in fixture_tables.values():
+        assert is_commutative_semigroup(_rows(t))
+        for i in t.nonzero():
+            for j in range(i, t.n + 1):
+                for sides in ([(i, j)], [(i, j), (j, i)]):
+                    rows = [list(row) for row in t.prod]
+                    for a, b in sides:
+                        rows[a][b] = (rows[a][b] + 1) % (t.n + 1)
+                    bad = table_from_rows(rows)
+                    assert is_commutative_semigroup(_rows(bad)) == (not check_axioms(bad))
+                    passed += not check_axioms(bad)
+    assert passed
+
+
+@pytest.mark.parametrize("rows, ok", [
+    ([b"\0"], True),  # the zero semigroup {0}
+    ([b"\0\0", b"\0\0"], True),
+    ([b"\0\0", b"\0\1"], True),
+    ([b"\0\0", b"\0\2"], False),  # 1*1 = 2 names no element
+    ([b"\0\0", b"\0\xff"], False),
+    ([b"\0\1", b"\1\1"], False),  # 0*1 = 1: zero not absorbing
+    ([b"\0\0\0", b"\0\1\0", b"\0\2\2"], False),  # 1*2 = 0 but 2*1 = 2
+    ([b"\0\0\0", b"\0\1\1", b"\0\2\2"], False),  # a*b = a: associative, not commutative
+])
+def test_semigroup_kernel_reads_range_zero_and_symmetry(rows, ok):
+    assert is_commutative_semigroup(rows) is ok
